@@ -1,7 +1,8 @@
 """Constrained power optimization over discrete fading processes.
 
 Three layers.  At the bottom, exact single-user waterfilling with the
-water level found by bisection.  Above it, two-user opportunistic
+water level found by sorting, the same exact shift that projects onto
+the budget set.  Above it, two-user opportunistic
 waterfilling of the sum rate at one receiver, solved through its
 Lagrangian dual and finished by block-coordinate ascent.  At the top, a
 projected-supergradient maximizer for minima of concave fading-averaged
@@ -38,6 +39,11 @@ LN2 = math.log(2.0)
 ACTIVE_TOL = 1e-9
 
 
+def _erate(p: np.ndarray, x: np.ndarray) -> float:
+    """Fading-averaged rate E[log2(1 + x)] in bits."""
+    return float(p @ np.log2(1.0 + x))
+
+
 @dataclass(frozen=True)
 class WaterfillResult:
     """Outcome of single-user waterfilling.
@@ -67,32 +73,50 @@ class OptimizerReport:
     converged: bool
 
 
-def _waterfill_powers(
-    gains: np.ndarray, probs: np.ndarray, budget: float, iters: int = 120
-) -> tuple[np.ndarray, float]:
-    """Bisect the water level nu so that E[(nu - 1/g)+] = budget.
+def _capped_shift(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
+    """The shift theta with p @ (y - theta)+ = cap, for each row of y.
 
-    Requires budget > 0 and at least one positive gain; zero-gain states
-    get zero power.  Spending is continuous and nondecreasing in nu, so
-    plain bisection is exact to float precision at 120 halvings.
+    Exact by sorting (Duchi et al. 2008, Condat 2016): with a row sorted
+    in descending order the support of (y - theta)+ is a prefix.  The
+    candidate shift of each prefix rises with the prefix until the
+    support is complete and falls after it, so theta is the largest
+    candidate that stays at or below its own last entry.  Needs cap > 0
+    and finite y of shape (n,) or (m, n).
+    """
+    order = y.argsort(axis=-1)[..., ::-1]
+    ys = np.sort(y, axis=-1)[..., ::-1]
+    ps = p[order]
+    t_cand = ((ps * ys).cumsum(axis=-1) - cap) / ps.cumsum(axis=-1)
+    admissible = t_cand <= ys
+    # The one-entry prefix always qualifies in exact arithmetic, but a cap
+    # far below the entries' spacing can round its candidate above them.
+    admissible[..., 0] = True
+    return np.where(admissible, t_cand, -np.inf).max(axis=-1)
+
+
+def _waterfill_powers(
+    gains: np.ndarray, probs: np.ndarray, budget: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Waterfill each row of gains: P = (nu - 1/g)+ with probs @ P = budget.
+
+    gains is (n,) or (m, n), and every row has the same zero-gain
+    states; those get zero power.  The water level nu (one per row) is
+    minus the exact shift of -1/g over the positive-gain states.  A
+    budget <= 0 or a gain row with no positive entry gives zero power
+    at nu = 0.
     """
     g = np.asarray(gains, dtype=float)
     p = np.asarray(probs, dtype=float)
-    pos = g > 0
-    inv = np.full_like(g, np.inf)
-    inv[pos] = 1.0 / g[pos]
-    q = float(p[pos].sum())
-    lo = 0.0
-    hi = budget / q + float(inv[pos].max()) + 1.0
-    for _ in range(iters):
-        nu = 0.5 * (lo + hi)
-        spend = float(p @ np.maximum(nu - inv, 0.0))
-        if spend > budget:
-            hi = nu
-        else:
-            lo = nu
-    nu = 0.5 * (lo + hi)
-    return np.maximum(nu - inv, 0.0), nu
+    powers = np.zeros_like(g)
+    live = (g > 0).reshape(-1, g.shape[-1]).all(axis=0)
+    if not (budget > 0) or not live.any():
+        return powers, np.zeros(g.shape[:-1])
+    # Only the positive-gain states enter the sort: 1/0 would give a
+    # -inf entry and break the prefix search.
+    inv = 1.0 / g[..., live]
+    nu = -_capped_shift(-inv, p[live], budget)
+    powers[..., live] = np.maximum(nu[..., None] - inv, 0.0)
+    return powers, nu
 
 
 def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> WaterfillResult:
@@ -122,7 +146,7 @@ def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> Waterf
     powers, nu = _waterfill_powers(gains, probs, budget)
     rate = float(probs @ np.log2(1.0 + gains * powers))
     policy = PowerPolicy(p1=tuple(powers), p2=(0.0,) * len(pairs))
-    return WaterfillResult(policy=policy, water_level=nu, achieved_rate=rate)
+    return WaterfillResult(policy=policy, water_level=float(nu), achieved_rate=rate)
 
 
 class RateObjective:
@@ -224,17 +248,7 @@ def _project_capped(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
         return np.zeros_like(x)
     if float(p @ x) <= cap:
         return x
-    order = np.argsort(y)[::-1]
-    ys = y[order]
-    ps = p[order]
-    cw = np.cumsum(ps)
-    cv = np.cumsum(ps * ys)
-    t_cand = (cv - cap) / cw
-    # <= keeps the support nonempty when rounding absorbs a tiny cap;
-    # equality at k gives the same theta as k-1, so the shift is unchanged
-    ok = np.nonzero(t_cand <= ys)[0]
-    theta = t_cand[ok.max()]
-    return np.maximum(y - theta, 0.0)
+    return np.maximum(y - _capped_shift(y, p, cap), 0.0)
 
 
 def kkt_residual(process: FadingProcess, policy: PowerPolicy, objective, budget: PowerBudget) -> float:
@@ -299,7 +313,6 @@ def kkt_residual_bundle(
         G = np.stack([g[u] / p for g in grads], axis=0)
         spend = float(p @ powers)
         lam_col = k + u
-        slack_budget = cap - spend > 1e-9
         active = powers > ACTIVE_TOL
         for h in range(n):
             row = np.zeros(k + 3)
@@ -313,9 +326,6 @@ def kkt_residual_bundle(
                 neg[-1] = -1.0
                 rows_ub.append(neg)
                 rhs_ub.append(0.0)
-        if slack_budget:
-            # lam forced to zero below via its bound.
-            pass
         extra = max(extra, spend - cap, float(-powers.min()) if powers.size else 0.0)
     bounds = [(0.0, 1.0)] * k
     for u, (powers, cap) in enumerate(((p1, budget.p1_bar), (p2, budget.p2_bar))):
@@ -343,50 +353,34 @@ def kkt_residual_bundle(
     return float(max(min(kkt_residual(process, policy, o, budget) for o in bundle), extra))
 
 
-def _epigraph_polish(p, objectives, b1, b2, x1, x2, maxiter=300):
-    """SLSQP on the epigraph form: maximize t s.t. every objective >= t.
+def _slsqp_polish(p, b1, b2, fun, jac, x1, x2, rows=(), extra0=(), extra_bounds=(),
+                  maxiter=300):
+    """Minimize fun over z = (P1, P2, extra) with SLSQP, from (x1, x2, extra0).
 
-    Variables are (P1, P2, t).  Returns (P1, P2) repaired to strict
-    feasibility, or None when the solver makes no usable progress.
+    The caller's inequality rows come first, then the two budget rows
+    E[P_k] <= b_k; the powers are bounded below by zero and the extra
+    variables by ``extra_bounds``.  Returns (P1, P2, extra) with the
+    powers repaired to strict feasibility (clipped at zero, then scaled
+    down onto their budget, or zeroed when the budget is not positive),
+    or None when SLSQP raises on the problem.
     """
     n = p.shape[0]
-    t0 = min(o.value(x1, x2) for o in objectives)
-    z0 = np.concatenate([x1, x2, [t0]])
-
-    def split(z):
-        return z[:n], z[n : 2 * n], z[-1]
-
-    cons = []
-    for obj in objectives:
-
-        def val(z, obj=obj):
-            q1, q2, t = split(z)
-            return obj.value(q1, q2) - t
-
-        def jac(z, obj=obj):
-            q1, q2, _ = split(z)
-            g1, g2 = obj.gradient(q1, q2)
-            return np.concatenate([g1, g2, [-1.0]])
-
-        cons.append({"type": "ineq", "fun": val, "jac": jac})
+    z0 = np.concatenate([x1, x2, extra0])
+    cons = list(rows)
     for col, cap in ((0, b1), (1, b2)):
+        grad = np.zeros(z0.shape[0])
+        grad[col * n : (col + 1) * n] = -p
 
         def val(z, col=col, cap=cap):
-            q = split(z)[col]
-            return cap - float(p @ q)
+            return cap - float(p @ z[col * n : (col + 1) * n])
 
-        def jac(z, col=col):
-            row = np.zeros(2 * n + 1)
-            row[col * n : (col + 1) * n] = -p
-            return row
-
-        cons.append({"type": "ineq", "fun": val, "jac": jac})
-    bounds = [(0.0, None)] * (2 * n) + [(None, None)]
+        cons.append({"type": "ineq", "fun": val, "jac": lambda z, grad=grad: grad})
+    bounds = [(0.0, None)] * (2 * n) + list(extra_bounds)
     try:
         res = sciopt.minimize(
-            lambda z: -z[-1],
+            fun,
             z0,
-            jac=lambda z: np.concatenate([np.zeros(2 * n), [-1.0]]),
+            jac=jac,
             bounds=bounds,
             constraints=cons,
             method="SLSQP",
@@ -394,16 +388,43 @@ def _epigraph_polish(p, objectives, b1, b2, x1, x2, maxiter=300):
         )
     except (ValueError, OverflowError):
         return None
-    q1, q2, _ = split(res.x)
-    q1 = np.maximum(q1, 0.0)
-    q2 = np.maximum(q2, 0.0)
+    q1 = np.maximum(res.x[:n], 0.0)
+    q2 = np.maximum(res.x[n : 2 * n], 0.0)
     for q, cap in ((q1, b1), (q2, b2)):
         spend = float(p @ q)
         if spend > cap > 0:
             q *= cap / spend
         elif spend > cap:
             q[:] = 0.0
-    return q1, q2
+    return q1, q2, res.x[2 * n :]
+
+
+def _epigraph_polish(p, objectives, b1, b2, x1, x2, maxiter=300):
+    """SLSQP on the epigraph form: maximize t s.t. every objective >= t.
+
+    Variables are (P1, P2, t).  Returns feasible (P1, P2), or None when
+    the solver fails.
+    """
+    n = p.shape[0]
+    rows = []
+    for obj in objectives:
+
+        def val(z, obj=obj):
+            return obj.value(z[:n], z[n : 2 * n]) - z[-1]
+
+        def jac(z, obj=obj):
+            g1, g2 = obj.gradient(z[:n], z[n : 2 * n])
+            return np.concatenate([g1, g2, [-1.0]])
+
+        rows.append({"type": "ineq", "fun": val, "jac": jac})
+    grad = np.zeros(2 * n + 1)
+    grad[-1] = -1.0
+    t0 = min(o.value(x1, x2) for o in objectives)
+    out = _slsqp_polish(
+        p, b1, b2, lambda z: -z[-1], lambda z: grad, x1, x2, rows,
+        extra0=[t0], extra_bounds=[(None, None)], maxiter=maxiter,
+    )
+    return None if out is None else out[:2]
 
 
 def maximize_min_concave(
@@ -542,7 +563,6 @@ def mac_opportunistic_waterfill(
     g11, g12, g21, g22 = process.gain_arrays
     ga, gb = (g11, g12) if receiver == 1 else (g21, g22)
     p = process.prob_array
-    n = process.n_states
     if not (ga > 0).any() and not (gb > 0).any():
         raise PreconditionError(
             f"receiver {receiver} sees zero gain from both transmitters in every state"
@@ -558,14 +578,11 @@ def mac_opportunistic_waterfill(
         res = kkt_residual(process, pol, objective, budget)
         return OptimizerReport(pol, val, iters, res, bool(res <= tol))
 
-    if not active1 and not active2:
-        return report(np.zeros(n), np.zeros(n), 0)
-    if active1 and not active2:
-        powers, _ = _waterfill_powers(ga, p, b1)
-        return report(powers, np.zeros(n), 120)
-    if active2 and not active1:
-        powers, _ = _waterfill_powers(gb, p, b2)
-        return report(np.zeros(n), powers, 120)
+    if not (active1 and active2):
+        # At most one user transmits: one exact waterfill, or none.
+        x1, _ = _waterfill_powers(ga, p, b1)
+        x2, _ = _waterfill_powers(gb, p, b2)
+        return report(x1, x2, int(active1 or active2))
 
     # Nested dual bisection in log-multiplier space; spending in each
     # user's multiplier is monotone, so sign-based bisection converges
@@ -587,7 +604,6 @@ def mac_opportunistic_waterfill(
         return math.exp(0.5 * (lo + hi))
 
     lo, hi = lo_log, hi_log
-    spend_lo = None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         m2 = math.exp(mid)

@@ -99,14 +99,6 @@ def classify_state(state: FadingState) -> StateLabel:
     return StateLabel.Mixed
 
 
-def _solo_waterfill(gains: np.ndarray, probs: np.ndarray, budget: float) -> np.ndarray:
-    """Direct-link waterfill powers; all zeros when the user is silent."""
-    if budget <= 0.0 or not (gains > 0).any():
-        return np.zeros_like(gains)
-    powers, _ = _waterfill_powers(gains, probs, budget)
-    return powers
-
-
 def evs_condition(process: FadingProcess, budget: PowerBudget) -> EvsCheck:
     """Averaged very-strong interference test at the waterfilling policies.
 
@@ -117,8 +109,8 @@ def evs_condition(process: FadingProcess, budget: PowerBudget) -> EvsCheck:
     """
     g11, g12, g21, g22 = process.gain_arrays
     p = process.prob_array
-    p1 = _solo_waterfill(g11, p, budget.p1_bar)
-    p2 = _solo_waterfill(g22, p, budget.p2_bar)
+    p1, _ = _waterfill_powers(g11, p, budget.p1_bar)
+    p2, _ = _waterfill_powers(g22, p, budget.p2_bar)
     lhs = float(p @ np.log2(1.0 + g11 * p1)) + float(p @ np.log2(1.0 + g22 * p2))
     bounds = []
     if (g12 > 0).any():

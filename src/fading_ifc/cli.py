@@ -32,7 +32,13 @@ from .channel import (
     load_channel_json,
     sample_rayleigh_channel,
 )
-from .classify import ChannelSubclass, Sidedness, classify_channel, evs_condition
+from .classify import (
+    ChannelSubclass,
+    Sidedness,
+    channel_sidedness,
+    classify_channel,
+    evs_condition,
+)
 from .cmac import WeightPair, identify_case, region_boundary, sum_capacity
 from . import ifc
 
@@ -180,17 +186,8 @@ _AUTO = {
 }
 
 
-def _swap_policy(policy: PowerPolicy) -> PowerPolicy:
-    return PowerPolicy(p1=policy.p2, p2=policy.p1)
-
-
-def _swapped_problem(process: FadingProcess, budget: PowerBudget):
-    return process.swap_users(), PowerBudget(p1_bar=budget.p2_bar, p2_bar=budget.p1_bar)
-
-
 def _run_scheme(scheme: str, process: FadingProcess, budget: PowerBudget, tol: float):
     """Evaluate one scheme; returns (value, case_label, policy, alpha)."""
-    side = classify_channel(process, budget).sidedness
     if scheme == "cmac":
         value, policy, label = sum_capacity(process, budget, tol=tol)
         return value, label.value, policy, None
@@ -205,8 +202,7 @@ def _run_scheme(scheme: str, process: FadingProcess, budget: PowerBudget, tol: f
         value, policy = ifc.us_sum_capacity(process, budget)
         return value, "", policy, None
     if scheme == "uw1":
-        which = 2 if side is Sidedness.OneSidedAtRx2 else 1
-        value, policy = ifc.uw1_sum_capacity(process, budget, side=which)
+        value, policy = ifc.uw1_sum_capacity(process, budget)
         return value, "", policy, None
     if scheme == "um":
         value, policy = ifc.um_sum_capacity(process, budget)
@@ -214,24 +210,14 @@ def _run_scheme(scheme: str, process: FadingProcess, budget: PowerBudget, tol: f
     if scheme == "uw2_bound":
         return ifc.uw2_upper_bound(process, budget), "", None, None
     if scheme == "hk":
-        if side is Sidedness.OneSidedAtRx2:
-            value, alloc, case = ifc.hk_optimize(*_swapped_problem(process, budget))
-            policy = _swap_policy(alloc.policy)
-        else:
-            value, alloc, case = ifc.hk_optimize(process, budget)
-            policy = alloc.policy
-        return value, case.value, policy, alloc.alpha
+        value, alloc, case = ifc.hk_optimize(process, budget)
+        return value, case.value, alloc.policy, alloc.alpha
     if scheme == "separable":
-        if side is Sidedness.OneSidedAtRx2:
-            value, alloc = ifc.separable_one_sided_baseline(
-                *_swapped_problem(process, budget)
-            )
-            return value, "", _swap_policy(alloc.policy), alloc.alpha
-        if side is Sidedness.OneSidedAtRx1:
-            value, alloc = ifc.separable_one_sided_baseline(process, budget)
-            return value, "", alloc.policy, alloc.alpha
-        value, policy = ifc.us_separable_sum_rate(process, budget)
-        return value, "", policy, None
+        if channel_sidedness(process) is Sidedness.TwoSided:
+            value, policy = ifc.us_separable_sum_rate(process, budget)
+            return value, "", policy, None
+        value, alloc = ifc.separable_one_sided_baseline(process, budget)
+        return value, "", alloc.policy, alloc.alpha
     if scheme == "tdm":
         return ifc.tdm_baseline(process, budget), "", None, None
     if scheme == "outer":
@@ -335,7 +321,7 @@ def _joint_sum_rate(process: FadingProcess, budget: PowerBudget) -> tuple[float,
     elif sub in (ChannelSubclass.US, ChannelSubclass.OneSidedUS):
         value, _ = ifc.us_sum_capacity(process, budget)
     elif sub is ChannelSubclass.OneSidedUW:
-        value, _ = ifc.uw1_sum_capacity(process, budget, side=1)
+        value, _ = ifc.uw1_sum_capacity(process, budget)
     else:
         value, _, _ = ifc.hk_optimize(process, budget)
     return value, sub.value

@@ -27,7 +27,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .channel import (
     ConvergenceError,
@@ -37,6 +36,8 @@ from .channel import (
 )
 from .allocate import (
     RateObjective,
+    _erate,
+    _slsqp_polish,
     _waterfill_powers,
     mac_opportunistic_waterfill,
     maximize_min_concave,
@@ -98,10 +99,6 @@ class CaseSumRates(NamedTuple):
     s3b: float
 
 
-def _elog(p: np.ndarray, x: np.ndarray) -> float:
-    return float(p @ np.log2(1.0 + x))
-
-
 def mac_bounds(process: FadingProcess, policy: PowerPolicy, receiver: int) -> MacPentagon:
     """Pentagon of one receiver: E[C(g_1 P1)], E[C(g_2 P2)], E[C(g_1 P1 + g_2 P2)]."""
     if receiver not in (1, 2):
@@ -111,9 +108,9 @@ def mac_bounds(process: FadingProcess, policy: PowerPolicy, receiver: int) -> Ma
     p = process.prob_array
     p1, p2 = policy.arrays
     return MacPentagon(
-        r1_cap=_elog(p, ga * p1),
-        r2_cap=_elog(p, gb * p2),
-        sum_cap=_elog(p, ga * p1 + gb * p2),
+        r1_cap=_erate(p, ga * p1),
+        r2_cap=_erate(p, gb * p2),
+        sum_cap=_erate(p, ga * p1 + gb * p2),
     )
 
 
@@ -140,10 +137,10 @@ def case_sum_rates(process: FadingProcess, policy: PowerPolicy) -> CaseSumRates:
     p = process.prob_array
     p1, p2 = policy.arrays
     return CaseSumRates(
-        s1=_elog(p, g11 * p1) + _elog(p, g22 * p2),
-        s2=_elog(p, g21 * p1) + _elog(p, g12 * p2),
-        s3a=_elog(p, g21 * p1 + g22 * p2),
-        s3b=_elog(p, g11 * p1 + g12 * p2),
+        s1=_erate(p, g11 * p1) + _erate(p, g22 * p2),
+        s2=_erate(p, g21 * p1) + _erate(p, g12 * p2),
+        s3a=_erate(p, g21 * p1 + g22 * p2),
+        s3b=_erate(p, g11 * p1 + g12 * p2),
     )
 
 
@@ -269,64 +266,6 @@ def identify_case(process: FadingProcess, policy: PowerPolicy) -> CaseLabel:
     return label
 
 
-def _solo_powers(gains: np.ndarray, probs: np.ndarray, budget: float) -> np.ndarray:
-    if budget <= 0.0 or not (gains > 0).any():
-        return np.zeros_like(gains)
-    powers, _ = _waterfill_powers(gains, probs, budget)
-    return powers
-
-
-def _slsqp_max_smooth(
-    p: np.ndarray,
-    objective: RateObjective,
-    b1: float,
-    b2: float,
-    start1: np.ndarray,
-    start2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize one smooth rate objective over the budget box via SLSQP."""
-    n = p.shape[0]
-    z0 = np.concatenate([start1, start2])
-
-    def fun(z):
-        return -objective.value(z[:n], z[n:])
-
-    def jac(z):
-        g1, g2 = objective.gradient(z[:n], z[n:])
-        return -np.concatenate([g1, g2])
-
-    cons = []
-    for col, cap in ((0, b1), (1, b2)):
-
-        def val(z, col=col, cap=cap):
-            return cap - float(p @ z[col * n : (col + 1) * n])
-
-        def cjac(z, col=col):
-            row = np.zeros(2 * n)
-            row[col * n : (col + 1) * n] = -p
-            return row
-
-        cons.append({"type": "ineq", "fun": val, "jac": cjac})
-    res = sciopt.minimize(
-        fun,
-        z0,
-        jac=jac,
-        bounds=[(0.0, None)] * (2 * n),
-        constraints=cons,
-        method="SLSQP",
-        options={"ftol": 1e-12, "maxiter": 200},
-    )
-    x1 = np.maximum(res.x[:n], 0.0)
-    x2 = np.maximum(res.x[n:], 0.0)
-    for x, cap in ((x1, b1), (x2, b2)):
-        spend = float(p @ x)
-        if spend > cap > 0:
-            x *= cap / spend
-        elif spend > cap:
-            x[:] = 0.0
-    return x1, x2
-
-
 def _blend_candidate(
     process: FadingProcess,
     budget: PowerBudget,
@@ -342,11 +281,13 @@ def _blend_candidate(
     d = f_b - f_a at a blend maximizer is nondecreasing in nu, so a sign
     bracket between the endpoint maximizers (supplied by the caller)
     certifies the equality locus is crossed; without it the case cannot
-    occur and None is returned.
+    occur and None is returned.  When the bisection misses the equality
+    or SLSQP fails on a blend, a two-objective max-min takes over.
     """
     if d_at_a_max > 0 or d_at_b_max < 0:
         return None
     p = process.prob_array
+    n = process.n_states
     b1, b2 = budget.p1_bar, budget.p2_bar
     x1, x2 = np.asarray(warm[0], dtype=float).copy(), np.asarray(warm[1], dtype=float).copy()
     lo, hi = 0.0, 1.0
@@ -358,7 +299,19 @@ def _blend_candidate(
             [(w * (1.0 - nu), a, b) for w, a, b in obj_a.terms]
             + [(w * nu, a, b) for w, a, b in obj_b.terms],
         )
-        x1, x2 = _slsqp_max_smooth(p, mixed, b1, b2, x1, x2)
+        out = _slsqp_polish(
+            p,
+            b1,
+            b2,
+            lambda z, f=mixed: -f.value(z[:n], z[n:]),
+            lambda z, f=mixed: -np.concatenate(f.gradient(z[:n], z[n:])),
+            x1,
+            x2,
+            maxiter=200,
+        )
+        if out is None:
+            break
+        x1, x2, _ = out
         d = obj_b.value(x1, x2) - obj_a.value(x1, x2)
         if best is None or abs(d) < best[0]:
             best = (abs(d), x1.copy(), x2.copy())
@@ -368,16 +321,15 @@ def _blend_candidate(
             hi = nu
         else:
             lo = nu
-    assert best is not None
-    if best[0] > 1e-8:
-        # The blend maximizer jumped across the equality; go at the
-        # equality directly as a two-objective max-min.
+    if best is None or best[0] > 1e-8:
+        # The blend maximizer jumped across the equality, or SLSQP failed;
+        # go at the equality directly as a two-objective max-min.
         rep = maximize_min_concave(
             process, [obj_a, obj_b], budget, 1e-6, max_iters=3000, polish=True
         )
         a1, a2 = rep.policy.arrays
         d = abs(obj_b.value(a1, a2) - obj_a.value(a1, a2))
-        if d < best[0]:
+        if best is None or d < best[0]:
             best = (d, a1, a2)
     return best[1], best[2]
 
@@ -458,9 +410,9 @@ def _sum_capacity_engine(
 
     # Endpoint candidates double as blend brackets.
     cand: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    cand["s1"] = (_solo_powers(g11, p, b1), _solo_powers(g22, p, b2))
+    cand["s1"] = (_waterfill_powers(g11, p, b1)[0], _waterfill_powers(g22, p, b2)[0])
     if use_s2:
-        cand["s2"] = (_solo_powers(g21, p, b1), _solo_powers(g12, p, b2))
+        cand["s2"] = (_waterfill_powers(g21, p, b1)[0], _waterfill_powers(g12, p, b2)[0])
     if use_s3a:
         cand["s3a"] = mac_candidate(2)
     if use_s3b:

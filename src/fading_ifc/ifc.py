@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .channel import (
     ConvergenceError,
@@ -41,11 +39,13 @@ from .allocate import (
     PerStateMinRate,
     RateObjective,
     _epigraph_polish,
+    _erate,
     _project_capped,
+    _slsqp_polish,
     _waterfill_powers,
     kkt_residual,
 )
-from .classify import evs_condition, um_orientation
+from .classify import Sidedness, channel_sidedness, evs_condition, um_orientation
 from .cmac import _sum_capacity_engine
 
 
@@ -80,7 +80,10 @@ class HkAllocation:
     """Power policy plus the per-state private-power fraction of user 2.
 
     alpha_h * P2(h) rides as private power only receiver 1 must not
-    decode; the rest is common and decoded by both receivers.
+    decode; the rest is common and decoded by both receivers.  On a
+    channel whose interference enters at receiver 2, the schemes return
+    alpha for user 1's power instead; the two properties below read the
+    receiver-1 orientation.
     """
 
     policy: PowerPolicy
@@ -108,17 +111,6 @@ class HkAllocation:
         return (1.0 - np.asarray(self.alpha)) * p2
 
 
-def _erate(p: np.ndarray, x: np.ndarray) -> float:
-    return float(p @ np.log2(1.0 + x))
-
-
-def _solo_powers(gains: np.ndarray, probs: np.ndarray, budget: float) -> np.ndarray:
-    if budget <= 0.0 or not (gains > 0).any():
-        return np.zeros_like(gains)
-    powers, _ = _waterfill_powers(gains, probs, budget)
-    return powers
-
-
 def _require_receiver1_sided(process: FadingProcess) -> None:
     """Interference must enter at receiver 1 only (g21 = 0 everywhere)."""
     g11, g12, g21, g22 = process.gain_arrays
@@ -143,7 +135,7 @@ def interference_free_outer_bound(process: FadingProcess, budget: PowerBudget) -
     p = process.prob_array
     total = 0.0
     for g, b in ((g11, budget.p1_bar), (g22, budget.p2_bar)):
-        powers = _solo_powers(g, p, b)
+        powers, _ = _waterfill_powers(g, p, b)
         total += _erate(p, g * powers)
     return total
 
@@ -167,8 +159,8 @@ def evs_sum_capacity(
         )
     g11, _, _, g22 = process.gain_arrays
     p = process.prob_array
-    x1 = _solo_powers(g11, p, budget.p1_bar)
-    x2 = _solo_powers(g22, p, budget.p2_bar)
+    x1, _ = _waterfill_powers(g11, p, budget.p1_bar)
+    x2, _ = _waterfill_powers(g22, p, budget.p2_bar)
     r1 = _erate(p, g11 * x1)
     r2 = _erate(p, g22 * x2)
     return r1 + r2, PowerPolicy.from_arrays(x1, x2), (r1, r2)
@@ -221,89 +213,6 @@ def us_sum_capacity(
         process, budget, use_s2=False, use_s3a=use_s3a, use_s3b=use_s3b
     )
     return value, policy
-
-
-def _per_state_epigraph_polish(
-    probs: np.ndarray,
-    branches: Sequence[Sequence[tuple[float, np.ndarray, np.ndarray]]],
-    b1: float,
-    b2: float,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    maxiter: int = 300,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """SLSQP solve of max E[t_h] s.t. t_h below every per-state branch."""
-    n = probs.shape[0]
-
-    def branch_vals(z1, z2, rows):
-        acc = np.zeros(n)
-        for w, a, b in rows:
-            acc += w * np.log1p(a * z1 + b * z2)
-        return acc / LN2
-
-    t0 = np.min(
-        [branch_vals(x1, x2, rows) for rows in branches], axis=0
-    )
-    z0 = np.concatenate([x1, x2, t0])
-
-    def fun(z):
-        return -float(probs @ z[2 * n :])
-
-    gfix = np.concatenate([np.zeros(2 * n), -probs])
-
-    def jac(z):
-        return gfix
-
-    cons = []
-    for rows in branches:
-
-        def cval(z, rows=rows):
-            return branch_vals(z[:n], z[n : 2 * n], rows) - z[2 * n :]
-
-        def cjac(z, rows=rows):
-            out = np.zeros((n, 3 * n))
-            z1, z2 = z[:n], z[n : 2 * n]
-            for w, a, b in rows:
-                den = (1.0 + a * z1 + b * z2) * LN2
-                out[np.arange(n), np.arange(n)] += w * a / den
-                out[np.arange(n), n + np.arange(n)] += w * b / den
-            out[np.arange(n), 2 * n + np.arange(n)] = -1.0
-            return out
-
-        cons.append({"type": "ineq", "fun": cval, "jac": cjac})
-    for col, cap in ((0, b1), (1, b2)):
-
-        def bval(z, col=col, cap=cap):
-            return cap - float(probs @ z[col * n : (col + 1) * n])
-
-        def bjac(z, col=col):
-            row = np.zeros(3 * n)
-            row[col * n : (col + 1) * n] = -probs
-            return row
-
-        cons.append({"type": "ineq", "fun": bval, "jac": bjac})
-    bounds = [(0.0, None)] * (2 * n) + [(None, None)] * n
-    try:
-        res = sciopt.minimize(
-            fun,
-            z0,
-            jac=jac,
-            bounds=bounds,
-            constraints=cons,
-            method="SLSQP",
-            options={"ftol": 1e-12, "maxiter": maxiter},
-        )
-    except (ValueError, OverflowError):
-        return None
-    q1 = np.maximum(res.x[:n], 0.0)
-    q2 = np.maximum(res.x[n : 2 * n], 0.0)
-    for q, cap in ((q1, b1), (q2, b2)):
-        spend = float(probs @ q)
-        if spend > cap > 0:
-            q *= cap / spend
-        elif spend > cap:
-            q[:] = 0.0
-    return q1, q2
 
 
 def us_separable_sum_rate(
@@ -451,8 +360,8 @@ def _deterministic_starts(process, budget):
     b1, b2 = budget.p1_bar, budget.p2_bar
     u1 = np.full(n, b1)
     u2 = np.full(n, b2)
-    w1 = _solo_powers(g11, p, b1)
-    w2 = _solo_powers(g22, p, b2)
+    w1, _ = _waterfill_powers(g11, p, b1)
+    w2, _ = _waterfill_powers(g22, p, b2)
     return [
         (u1, u2),
         (w1, w2),
@@ -509,43 +418,24 @@ def _weak_link_check(g_cross: np.ndarray, g_direct: np.ndarray, into: str) -> No
         )
 
 
-def _waterfill_rows(gains: np.ndarray, probs: np.ndarray, cap: float) -> np.ndarray:
-    """Row-wise waterfilling: each row of gains gets its own water level."""
-    m, n = gains.shape
-    if cap <= 0:
-        return np.zeros((m, n))
-    with np.errstate(divide="ignore"):
-        inv = np.where(gains > 0, 1.0 / np.where(gains > 0, gains, 1.0), np.inf)
-    lo = np.zeros(m)
-    finite = np.where(np.isfinite(inv), inv, 0.0)
-    hi = cap / np.minimum.reduce(probs) + finite.max(axis=1) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        spend = np.maximum(mid[:, None] - inv, 0.0) @ probs
-        high = spend > cap
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    level = 0.5 * (lo + hi)
-    return np.maximum(level[:, None] - inv, 0.0)
-
-
 def uw1_sum_capacity(
-    process: FadingProcess, budget: PowerBudget, side: int = 1
+    process: FadingProcess, budget: PowerBudget
 ) -> tuple[float, PowerPolicy]:
     """Sum capacity of a one-sided uniformly weak channel.
 
     The interfered receiver treats the crossing signal as noise:
-    maximize E[C(g11 P1 / (1 + g12 P2))] + E[C(g22 P2)] (side 1; user
-    indices swap for side 2).  For fixed P2 the optimal P1 is a
-    waterfill over the effective gains, which makes an exhaustive sweep
-    of the P2 budget face affordable for small state counts; the
-    returned policy is a stationary point with KKT residual at most
-    1e-6.
+    maximize E[C(g11 P1 / (1 + g12 P2))] + E[C(g22 P2)] when the
+    interference enters at receiver 1; when it enters at receiver 2 the
+    user indices swap, and the returned policy is in the caller's user
+    order.  For fixed P2 the optimal P1 is a waterfill over the
+    effective gains, which makes an exhaustive sweep of the P2 budget
+    face affordable for small state counts.  The result is the best
+    candidate found, SLSQP-polished; when its KKT residual exceeds 1e-6
+    a longer polish runs and the policy with the smaller residual is
+    kept, so the returned residual is not bounded.
     """
-    if side not in (1, 2):
-        raise ValueError(f"side must be 1 or 2, got {side!r}")
-    if side == 2:
-        value, policy = uw1_sum_capacity(process.swap_users(), _swapped_budget(budget), 1)
+    if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
+        value, policy = uw1_sum_capacity(process.swap_users(), _swapped_budget(budget))
         return value, PowerPolicy(p1=policy.p2, p2=policy.p1)
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
@@ -560,7 +450,7 @@ def uw1_sum_capacity(
 
     def value_for_p2(X2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eff = g11 / (1.0 + g12 * X2)
-        X1 = _waterfill_rows(eff, p, b1)
+        X1, _ = _waterfill_powers(eff, p, b1)
         vals = (np.log1p(eff * X1) @ p + np.log1p(g22 * X2) @ p) / LN2
         return vals, X1
 
@@ -740,77 +630,6 @@ def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
     return u, v
 
 
-def _hk_slsqp(g11, g12, g22, p, b1, b2, free_q, x1, x2, q, maxiter=300):
-    """Epigraph SLSQP over (P1, P2, q, t): maximize t under both sum rates."""
-    n = p.shape[0]
-    s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, q)
-    z0 = np.concatenate([x1, x2, q, [min(s1, s2)]])
-
-    def fun(z):
-        return -z[-1]
-
-    gfix = np.zeros(3 * n + 1)
-    gfix[-1] = -1.0
-
-    def jac(z):
-        return gfix
-
-    def make_scon(which):
-        def val(z, which=which):
-            s1, s2 = _hk_values(g11, g12, g22, p, z[:n], z[n:2*n], z[2*n:3*n])
-            return (s1 if which == 1 else s2) - z[-1]
-
-        def jrow(z, which=which):
-            gx1, gx2, gq = _hk_gradients(
-                g11, g12, g22, p, z[:n], z[n:2*n], z[2*n:3*n], which
-            )
-            return np.concatenate([gx1, gx2, gq, [-1.0]])
-
-        return {"type": "ineq", "fun": val, "jac": jrow}
-
-    cons = [make_scon(1), make_scon(2)]
-
-    def wedge_val(z):
-        return z[n:2*n] - z[2*n:3*n]
-
-    wjac = np.zeros((n, 3 * n + 1))
-    wjac[np.arange(n), n + np.arange(n)] = 1.0
-    wjac[np.arange(n), 2 * n + np.arange(n)] = -1.0
-    cons.append({"type": "ineq", "fun": wedge_val, "jac": lambda z: wjac})
-    for lo_idx, cap in ((0, b1), (1, b2)):
-
-        def bval(z, lo_idx=lo_idx, cap=cap):
-            return cap - float(p @ z[lo_idx * n : (lo_idx + 1) * n])
-
-        def bjac(z, lo_idx=lo_idx):
-            row = np.zeros(3 * n + 1)
-            row[lo_idx * n : (lo_idx + 1) * n] = -p
-            return row
-
-        cons.append({"type": "ineq", "fun": bval, "jac": bjac})
-    bounds = [(0.0, None)] * (2 * n)
-    bounds += [(0.0, None) if free_q[i] else (0.0, 0.0) for i in range(n)]
-    bounds += [(None, None)]
-    try:
-        res = sciopt.minimize(
-            fun, z0, jac=jac, bounds=bounds, constraints=cons,
-            method="SLSQP", options={"ftol": 1e-12, "maxiter": maxiter},
-        )
-    except (ValueError, OverflowError):
-        return None
-    x1n = np.maximum(res.x[:n], 0.0)
-    x2n = np.maximum(res.x[n:2*n], 0.0)
-    qn = np.clip(np.where(free_q, res.x[2*n:3*n], 0.0), 0.0, x2n)
-    for arr, cap in ((x1n, b1), (x2n, b2)):
-        spend = float(p @ arr)
-        if spend > cap > 0:
-            arr *= cap / spend
-        elif spend > cap:
-            arr[:] = 0.0
-    qn = np.minimum(qn, x2n)
-    return x1n, x2n, qn
-
-
 def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Multistart search over (P1, P2, private power) for min(S1, S2)."""
     g11, g12, _, g22 = process.gain_arrays
@@ -831,6 +650,43 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
         if v > best[0]:
             best = (v, x1.copy(), x2.copy(), q.copy())
 
+    def rate_row(which):
+        def val(z):
+            s1, s2 = _hk_values(g11, g12, g22, p, z[:n], z[n:2*n], z[2*n:3*n])
+            return (s1 if which == 1 else s2) - z[-1]
+
+        def jac(z):
+            gx1, gx2, gq = _hk_gradients(
+                g11, g12, g22, p, z[:n], z[n:2*n], z[2*n:3*n], which
+            )
+            return np.concatenate([gx1, gx2, gq, [-1.0]])
+
+        return {"type": "ineq", "fun": val, "jac": jac}
+
+    # Epigraph SLSQP over (P1, P2, q, t): t under both sum rates, q <= P2.
+    grad = np.zeros(3 * n + 1)
+    grad[-1] = -1.0
+    wjac = np.zeros((n, 3 * n + 1))
+    wjac[np.arange(n), n + np.arange(n)] = 1.0
+    wjac[np.arange(n), 2 * n + np.arange(n)] = -1.0
+    rows = [
+        rate_row(1),
+        rate_row(2),
+        {"type": "ineq", "fun": lambda z: z[n:2*n] - z[2*n:3*n], "jac": lambda z: wjac},
+    ]
+    extra_bounds = [(0.0, None) if free else (0.0, 0.0) for free in free_q]
+    extra_bounds += [(None, None)]
+
+    def polish(x1, x2, q):
+        extra0 = np.concatenate([q, [value(x1, x2, q)]])
+        out = _slsqp_polish(
+            p, b1, b2, lambda z: -z[-1], lambda z: grad, x1, x2, rows,
+            extra0=extra0, extra_bounds=extra_bounds,
+        )
+        if out is not None:
+            x1n, x2n, extra = out
+            consider(x1n, x2n, np.clip(np.where(free_q, extra[:n], 0.0), 0.0, x2n))
+
     def ascend(x1, x2, q, iters=_ASCENT_ITERS):
         x1, x2, q = x1.copy(), x2.copy(), q.copy()
         scale = max(b1, b2, 1e-3)
@@ -848,9 +704,7 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
         for frac in (1.0, 0.5):
             q0 = np.where(free_q, frac * s2p, 0.0)
             x1, x2, q = ascend(s1p, s2p, q0)
-            out = _hk_slsqp(g11, g12, g22, p, b1, b2, free_q, x1, x2, q)
-            if out is not None:
-                consider(*out)
+            polish(x1, x2, q)
             consider(x1, x2, q)
     if n <= 2:
         # Exhaustive sweep: budget faces for the powers (both sum rates
@@ -872,11 +726,7 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
             Q = np.zeros_like(X2)
             if n_free:
                 Q[:, free_q] = FR * X2[:, free_q]
-            s1 = (np.log1p(g11 * X1 + g12 * Q) @ p - np.log1p(g12 * Q) @ p
-                  + np.log1p(g22 * X2) @ p) / LN2
-            s2 = (np.log1p(g22 * Q) @ p + np.log1p(g11 * X1 + g12 * X2) @ p
-                  - np.log1p(g12 * Q) @ p) / LN2
-            vals = np.minimum(s1, s2)
+            vals = np.minimum(*_hk_values(g11, g12, g22, p, X1, X2, Q))
             i = int(np.argmax(vals))
             consider(X1[i], X2[i], Q[i])
             if n == 1 and n_free == 0:
@@ -896,9 +746,7 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
                     for f in np.atleast_1d(fbest)
                 ]
             m = max(9, m // 2 + 1)
-        out = _hk_slsqp(g11, g12, g22, p, b1, b2, free_q, best[1], best[2], best[3])
-        if out is not None:
-            consider(*out)
+        polish(best[1], best[2], best[3])
     if not np.isfinite(best[0]):
         raise ConvergenceError("rate-splitting search found no finite candidate")
     return best
@@ -920,8 +768,14 @@ def hk_optimize(
     known answers: very strong channels return the interference-free
     optimum at zero split, all-strong channels reduce to the uniformly
     strong sum capacity, all-weak channels to the treat-as-noise sum
-    capacity at full private power.
+    capacity at full private power.  When the interference enters at
+    receiver 2 the users swap roles: the policy comes back in the
+    caller's user order and alpha splits user 1's power.
     """
+    if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
+        value, alloc, case = hk_optimize(process.swap_users(), _swapped_budget(budget))
+        policy = PowerPolicy(p1=alloc.policy.p2, p2=alloc.policy.p1)
+        return value, HkAllocation(policy, alloc.alpha), case
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     p = process.prob_array
@@ -930,8 +784,8 @@ def hk_optimize(
     zeros = np.zeros(n)
 
     if evs_condition(process, budget).holds:
-        x1 = _solo_powers(g11, p, budget.p1_bar)
-        x2 = _solo_powers(g22, p, budget.p2_bar)
+        x1, _ = _waterfill_powers(g11, p, budget.p1_bar)
+        x2, _ = _waterfill_powers(g22, p, budget.p2_bar)
         s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, zeros)
         if s1 < s2:
             alloc = HkAllocation(PowerPolicy.from_arrays(x1, x2), (0.0,) * n)
@@ -942,7 +796,7 @@ def hk_optimize(
         s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, zeros)
         return value, HkAllocation(policy, (0.0,) * n), _minimax_case(s1, s2)
     if not bool(strong.any()):
-        value, policy = uw1_sum_capacity(process, budget, side=1)
+        value, policy = uw1_sum_capacity(process, budget)
         return value, HkAllocation(policy, (1.0,) * n), MinimaxCase.Case3_equal
 
     value, x1, x2, q = _hk_generic(process, budget)
@@ -962,8 +816,16 @@ def separable_one_sided_baseline(
     Weak states use full private power (treat as noise), strong states
     none (decode the interference); the objective is the expectation of
     the per-state minimum of the two split sum rates, maximized over
-    policies.  Never exceeds the jointly coded optimum.
+    policies.  Never exceeds the jointly coded optimum.  When the
+    interference enters at receiver 2 the users swap roles as in
+    hk_optimize.
     """
+    if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
+        value, alloc = separable_one_sided_baseline(
+            process.swap_users(), _swapped_budget(budget)
+        )
+        policy = PowerPolicy(p1=alloc.policy.p2, p2=alloc.policy.p1)
+        return value, HkAllocation(policy, alloc.alpha)
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     p = process.prob_array
@@ -976,23 +838,54 @@ def separable_one_sided_baseline(
     s2_rows = [(1.0, zero, g22 * alpha), (1.0, g11, g12), (-1.0, zero, ga)]
     objective = PerStateMinRate(p, [s1_rows, s2_rows])
 
+    def branch_rate(z, branch):
+        acc = np.zeros(n)
+        for w, a, b in branch:
+            acc += w * np.log1p(a * z[:n] + b * z[n : 2 * n])
+        return acc / LN2
+
+    def branch_jac(z, branch):
+        out = np.zeros((n, 3 * n))
+        for w, a, b in branch:
+            den = (1.0 + a * z[:n] + b * z[n : 2 * n]) * LN2
+            out[np.arange(n), np.arange(n)] += w * a / den
+            out[np.arange(n), n + np.arange(n)] += w * b / den
+        out[np.arange(n), 2 * n + np.arange(n)] = -1.0
+        return out
+
+    # Per-state epigraph SLSQP over (P1, P2, t): maximize E[t_h] with each
+    # t_h under every branch rate of its state.
+    rows = [
+        {
+            "type": "ineq",
+            "fun": lambda z, br=branch: branch_rate(z, br) - z[2 * n :],
+            "jac": lambda z, br=branch: branch_jac(z, br),
+        }
+        for branch in objective.branches
+    ]
+    grad = np.concatenate([np.zeros(2 * n), -p])
+
+    def polish(x1, x2):
+        t0 = objective.branch_values(x1, x2).min(axis=0)
+        out = _slsqp_polish(
+            p, budget.p1_bar, budget.p2_bar, lambda z: -float(p @ z[2 * n :]),
+            lambda z: grad, x1, x2, rows, extra0=t0, extra_bounds=[(None, None)] * n,
+        )
+        return None if out is None else out[:2]
+
     best = (-np.inf, np.zeros(n), np.zeros(n))
     for s1p, s2p in _deterministic_starts(process, budget):
         v, x1, x2 = _projected_ascent(process, budget, [objective], s1p, s2p)
         if v > best[0]:
             best = (v, x1, x2)
     if n <= 64:
-        out = _per_state_epigraph_polish(
-            p, objective.branches, budget.p1_bar, budget.p2_bar, best[1], best[2]
-        )
+        out = polish(best[1], best[2])
         if out is not None and objective.value(*out) > best[0]:
             best = (objective.value(*out), *out)
     if n <= 3:
         grid = _grid_minimax(process, budget, [objective], 25)
         if grid is not None and grid[0] > best[0]:
-            out = _per_state_epigraph_polish(
-                p, objective.branches, budget.p1_bar, budget.p2_bar, grid[1], grid[2]
-            )
+            out = polish(grid[1], grid[2])
             if out is not None and objective.value(*out) > grid[0]:
                 best = (objective.value(*out), *out)
             else:

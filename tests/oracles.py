@@ -100,6 +100,22 @@ def _face_best(p, gains, X1, X2):
     return float(value[i, j]), int(i), int(j)
 
 
+def waterfill_bisect(gains, probs, budget: float, iters: int = 200) -> np.ndarray:
+    """Waterfilling powers (nu - 1/g)+ with nu bisected until probs @ P = budget."""
+    g = np.asarray(gains, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    inv = np.full_like(g, np.inf)
+    inv[g > 0] = 1.0 / g[g > 0]
+    lo, hi = 0.0, budget / float(p[g > 0].sum()) + float(inv[g > 0].max())
+    for _ in range(iters):
+        nu = 0.5 * (lo + hi)
+        if float(p @ np.maximum(nu - inv, 0.0)) > budget:
+            hi = nu
+        else:
+            lo = nu
+    return np.maximum(0.5 * (lo + hi) - inv, 0.0)
+
+
 def central_diff_gradient(fn, x1: np.ndarray, x2: np.ndarray, h: float = 1e-6):
     """Central finite differences of fn(x1, x2) in every power coordinate."""
     x1 = np.asarray(x1, dtype=float)

@@ -8,6 +8,7 @@ from fading_ifc.allocate import (
     PerStateMinRate,
     RateObjective,
     _project_capped,
+    _waterfill_powers,
     kkt_residual,
     kkt_residual_bundle,
     mac_opportunistic_waterfill,
@@ -58,6 +59,21 @@ class TestWaterfill:
     def test_input_validation(self, dist, budget, msg):
         with pytest.raises(PreconditionError, match=msg):
             waterfill(dist, budget)
+
+    @pytest.mark.parametrize(
+        "gains, budget",
+        [
+            ([0.0, 0.0], 1.0),
+            ([[0.0, 0.0], [0.0, 0.0]], 1.0),
+            ([1.0, 4.0], 0.0),
+            ([[1.0, 4.0], [2.0, 3.0]], -1.0),
+        ],
+    )
+    def test_silent_user_gets_zero_power(self, gains, budget):
+        powers, nu = _waterfill_powers(np.array(gains), np.array([0.5, 0.5]), budget)
+        assert powers.shape == np.shape(gains)
+        np.testing.assert_array_equal(powers, 0.0)
+        np.testing.assert_array_equal(nu, 0.0)
 
 
 class TestRateObjective:
@@ -229,6 +245,16 @@ class TestMacOpportunisticWaterfill:
             assert float(p @ rep.policy.arrays[0]) <= budget.p1_bar + 1e-7
             assert float(p @ rep.policy.arrays[1]) <= budget.p2_bar + 1e-7
             assert rep.kkt_residual <= 1e-5
+
+    def test_one_user_is_one_exact_solve(self):
+        proc = channel([(1, 0, 0, 0), (4, 0, 0, 0)])
+        rep = mac_opportunistic_waterfill(proc, 1, B11)
+        assert rep.iterations == 1
+        np.testing.assert_allclose(rep.policy.arrays[0], [0.625, 1.375], atol=1e-12)
+        np.testing.assert_array_equal(rep.policy.arrays[1], 0.0)
+        silent = mac_opportunistic_waterfill(proc, 1, PowerBudget(0.0, 1.0))
+        assert silent.iterations == 0
+        np.testing.assert_array_equal(silent.policy.arrays[0], 0.0)
 
     def test_receiver_argument_checked(self):
         with pytest.raises(ValueError, match="receiver"):

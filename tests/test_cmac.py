@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from fading_ifc import allocate
+from fading_ifc.allocate import RateObjective
 from fading_ifc.channel import PowerBudget, PowerPolicy
 from fading_ifc.cmac import (
     CASE_EQ_TOL,
     CaseLabel,
     WeightPair,
+    _blend_candidate,
     case_sum_rates,
     identify_case,
     mac_bounds,
@@ -104,6 +107,24 @@ class TestSumCapacity:
             sum_capacity(proc, PowerBudget(b, 0.8 * b))[0] for b in (0.4, 1.0, 2.5)
         ]
         assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
+
+
+class TestBlendCandidate:
+    def test_failing_slsqp_falls_back_to_max_min(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise ValueError("SLSQP refused the problem")
+
+        monkeypatch.setattr(allocate.sciopt, "minimize", raising)
+        # both objectives want user 1's power, each in its own state
+        proc = channel([(4, 0, 0, 1), (4, 0, 0, 1)])
+        p = proc.prob_array
+        first = RateObjective(p, [(1.0, np.array([4.0, 0.0]), 0.0)])
+        second = RateObjective(p, [(1.0, np.array([0.0, 4.0]), 0.0)])
+        zeros = np.zeros(2)
+        x1, x2 = _blend_candidate(proc, B11, first, second, -1.0, 1.0, (zeros, zeros))
+        assert first.value(x1, x2) == pytest.approx(second.value(x1, x2), abs=1e-4)
+        np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-3)
+        assert float(p @ x1) <= 1.0 + 1e-9
 
 
 class TestWeightedMaximization:

@@ -151,17 +151,13 @@ class TestUw1SumCapacity:
 
     def test_side_two_mirrors(self):
         mirrored = channel([(1, 0, 0.25, 1), (1.5, 0, 0.5, 2)])
-        value, policy = uw1_sum_capacity(mirrored, PowerBudget(1, 1), side=2)
+        value, policy = uw1_sum_capacity(mirrored, PowerBudget(1, 1))
         assert value == pytest.approx(2.2083855537414117, abs=1e-6)
         ref_value, ref_policy = uw1_sum_capacity(
             channel([(1, 0.25, 0, 1), (2, 0.5, 0, 1.5)]), B11
         )
         np.testing.assert_allclose(policy.arrays[0], ref_policy.arrays[1], atol=1e-5)
         np.testing.assert_allclose(policy.arrays[1], ref_policy.arrays[0], atol=1e-5)
-
-    def test_side_argument_checked(self):
-        with pytest.raises(ValueError, match="side"):
-            uw1_sum_capacity(UW_ONE_SIDED, B11, side=3)
 
     def test_strong_state_rejected(self):
         with pytest.raises(NotUniformlyWeak):
@@ -170,8 +166,6 @@ class TestUw1SumCapacity:
     def test_two_sided_input_rejected_with_hint(self):
         with pytest.raises(PreconditionError, match="two-sided"):
             uw1_sum_capacity(channel([(1, 0.25, 0.25, 1)]), B11)
-        with pytest.raises(PreconditionError, match="swap_users"):
-            uw1_sum_capacity(channel([(1, 0, 0.25, 1)]), B11)
 
 
 class TestUmSumCapacity:
@@ -319,6 +313,18 @@ class TestHkOptimize:
         assert sep <= value + 1e-9
         assert value <= interference_free_outer_bound(HYBRID_ONE_SIDED, B11) + 1e-9
 
+    def test_receiver2_sided_channel_swaps_users(self):
+        proc = channel([(1, 0.25, 0, 1), (2, 0.5, 0, 1.5)])
+        value, alloc, case = hk_optimize(proc, PowerBudget(1.0, 0.7))
+        twin_value, twin_alloc, twin_case = hk_optimize(
+            proc.swap_users(), PowerBudget(0.7, 1.0)
+        )
+        assert twin_value == value
+        assert twin_case is case
+        assert twin_alloc.alpha == alloc.alpha
+        assert twin_alloc.policy.p1 == alloc.policy.p2
+        assert twin_alloc.policy.p2 == alloc.policy.p1
+
     def test_hybrid_value_attained_by_allocation(self):
         value, alloc, _ = hk_optimize(HYBRID_ONE_SIDED, B11)
         s1, s2 = hk_sum_rates(HYBRID_ONE_SIDED, alloc)
@@ -347,6 +353,17 @@ class TestSeparableBaseline:
         value, alloc = separable_one_sided_baseline(HYBRID_ONE_SIDED, B11)
         assert value == pytest.approx(1.931726093829266, abs=1e-3)
         assert alloc.alpha == (0.0, 1.0)
+
+    def test_receiver2_sided_channel_swaps_users(self):
+        budget = PowerBudget(1.0, 0.7)
+        value, alloc = separable_one_sided_baseline(HYBRID_ONE_SIDED, budget)
+        twin_value, twin_alloc = separable_one_sided_baseline(
+            HYBRID_ONE_SIDED.swap_users(), PowerBudget(0.7, 1.0)
+        )
+        assert twin_value == value
+        assert twin_alloc.alpha == alloc.alpha
+        assert twin_alloc.policy.p1 == alloc.policy.p2
+        assert twin_alloc.policy.p2 == alloc.policy.p1
 
     def test_budget_respected(self):
         value, alloc = separable_one_sided_baseline(HYBRID_ONE_SIDED, B11)

@@ -1,7 +1,7 @@
 """Randomized structural invariants over the cheap, closed-form operations."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fading_ifc.channel import (
     FadingState,
@@ -10,12 +10,12 @@ from fading_ifc.channel import (
     channel_from_dict,
     channel_to_dict,
 )
-from fading_ifc.allocate import _project_capped, waterfill
+from fading_ifc.allocate import _project_capped, _waterfill_powers, waterfill
 from fading_ifc.classify import StateLabel, classify_state
 from fading_ifc.cmac import sum_rate_fixed_policy
 from fading_ifc.ifc import HkAllocation, hk_sum_rates, tdm_baseline
 
-from oracles import channel
+from oracles import channel, waterfill_bisect
 
 finite_gain = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 pos_gain = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
@@ -47,7 +47,7 @@ def test_state_label_survives_user_swap(g):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    gains=st.lists(pos_gain, min_size=1, max_size=6),
+    gains=st.lists(st.one_of(st.just(0.0), pos_gain), min_size=1, max_size=6).filter(any),
     budget=st.floats(min_value=0.01, max_value=20.0),
 )
 def test_waterfill_spends_the_whole_budget(gains, budget):
@@ -55,10 +55,23 @@ def test_waterfill_spends_the_whole_budget(gains, budget):
     res = waterfill(list(zip(gains, probs)), budget)
     assert (res.powers >= 0).all()
     spend = float(np.dot(probs, res.powers))
-    assert abs(spend - budget) <= 1e-7 * max(budget, 1.0)
+    # powers are nu - 1/g, so round-off scales with the water level nu
+    scale = max(budget, res.water_level)
+    assert abs(spend - budget) <= 1e-12 * scale
+    ref = waterfill_bisect(gains, probs, budget)
+    np.testing.assert_allclose(res.powers, ref, rtol=0.0, atol=1e-12 * scale)
     for g, q in zip(gains, res.powers):
+        if g == 0.0:
+            assert q == 0.0
         if q > 1e-9:
             assert 1.0 / g + q <= res.water_level + 1e-6
+    # a batch solves each row as the single-row solve does
+    rows = np.array([gains, [3.0 * g for g in gains]])
+    batch, levels = _waterfill_powers(rows, np.array(probs), budget)
+    for row, powers, level in zip(rows, batch, levels):
+        single, nu = _waterfill_powers(row, np.array(probs), budget)
+        np.testing.assert_array_equal(powers, single)
+        assert level == nu
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,6 +79,7 @@ def test_waterfill_spends_the_whole_budget(gains, budget):
     y=st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=6),
     cap=st.floats(min_value=0.0, max_value=5.0),
 )
+@example(y=[0.0, 0.0, 0.0, 0.0, 3.0], cap=1.5525623477159467e-175)
 def test_projection_returns_feasible_point(y, cap):
     y = np.asarray(y, dtype=float)
     p = np.full(y.size, 1.0 / y.size)
