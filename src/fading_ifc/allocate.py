@@ -2,12 +2,15 @@
 
 Three layers.  At the bottom, exact single-user waterfilling with the
 water level found by sorting, the same exact shift that projects onto
-the budget set.  Above it, two-user opportunistic
-waterfilling of the sum rate at one receiver, solved through its
-Lagrangian dual and finished by block-coordinate ascent.  At the top, a
+the budget set.  Above it, two-user opportunistic waterfilling of the
+sum rate at one receiver, solved through its Lagrangian dual: one
+bisection over the ratio of the two budget multipliers, one exact
+waterfill per step, and a block-coordinate polish.  At the top, a
 projected-supergradient maximizer for minima of concave fading-averaged
-rate objectives, with a sequential-quadratic polish and a KKT residual
-audit that works on any candidate policy.
+rate objectives, with a sequential-quadratic polish.  Any candidate
+policy can be audited by its KKT residual and, for objectives whose
+per-state Lagrangian maximum is closed form, by a weak-duality upper
+bound at its KKT multipliers.
 
 Rates are bits per channel use.  Budgets are long-run averages: a
 policy is feasible when E[P_k] <= budget_k + POWER_TOL and every
@@ -64,7 +67,14 @@ class WaterfillResult:
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    """A policy, its objective value in bits, and optimality evidence."""
+    """A policy, its objective value in bits, and optimality evidence.
+
+    ``iterations`` counts the solver's main steps: ascent steps for
+    maximize_min_concave; for mac_opportunistic_waterfill, the ratio
+    bisection steps plus the polish rounds when both users transmit,
+    1 when one user waterfills alone and 0 when both are silent.
+    ``converged`` means ``kkt_residual`` is at most the caller's tol.
+    """
 
     policy: PowerPolicy
     value: float
@@ -251,6 +261,34 @@ def _project_capped(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
     return np.maximum(y - _capped_shift(y, p, cap), 0.0)
 
 
+def _kkt_multiplier(p: np.ndarray, powers: np.ndarray, G: np.ndarray, slack: float) -> float:
+    """One user's budget multiplier at a policy, from G = grad/p.
+
+    Zero when the budget slack exceeds 1e-9; otherwise the
+    probability-weighted least-squares fit of G over the active set, or
+    max G when no state is active, clamped nonnegative.
+    """
+    if slack > 1e-9:
+        return 0.0
+    active = powers > ACTIVE_TOL
+    if active.any():
+        return max(0.0, float(p[active] @ G[active]) / float(p[active].sum()))
+    return max(0.0, float(G.max()))
+
+
+def kkt_multipliers(
+    process: FadingProcess, policy: PowerPolicy, objective, budget: PowerBudget
+) -> tuple[float, float]:
+    """The two budget multipliers that kkt_residual audits a policy with."""
+    p = process.prob_array
+    grads = objective.gradient(*policy.arrays)
+    caps = (budget.p1_bar, budget.p2_bar)
+    return tuple(
+        _kkt_multiplier(p, x, g / p, cap - float(p @ x))
+        for x, g, cap in zip(policy.arrays, grads, caps)
+    )
+
+
 def kkt_residual(process: FadingProcess, policy: PowerPolicy, objective, budget: PowerBudget) -> float:
     """Stationarity and complementary-slackness violation of a policy.
 
@@ -266,22 +304,51 @@ def kkt_residual(process: FadingProcess, policy: PowerPolicy, objective, budget:
     worst = 0.0
     for powers, grad, cap in ((p1, grad1, budget.p1_bar), (p2, grad2, budget.p2_bar)):
         G = grad / p
-        spend = float(p @ powers)
-        slack = cap - spend
+        slack = cap - float(p @ powers)
         active = powers > ACTIVE_TOL
-        if slack > 1e-9:
-            lam = 0.0
-        elif active.any():
-            lam = max(0.0, float(p[active] @ G[active]) / float(p[active].sum()))
-        else:
-            lam = max(0.0, float(G.max()))
+        lam = _kkt_multiplier(p, powers, G, slack)
         if active.any():
             worst = max(worst, float(np.abs(G[active] - lam).max()))
         if (~active).any():
             worst = max(worst, float(np.maximum(G[~active] - lam, 0.0).max()))
-        worst = max(worst, spend - cap, float(-powers.min()) if powers.size else 0.0)
+        worst = max(worst, -slack, float(-powers.min()) if powers.size else 0.0)
         worst = max(worst, lam * max(slack, 0.0))
     return float(max(worst, 0.0))
+
+
+def dual_bound(
+    process: FadingProcess, objective: RateObjective, budget: PowerBudget, lam
+) -> float | None:
+    """Weak-duality upper bound on max f(P) over feasible policies, in bits.
+
+    D(lam) = E[max_P f_h(P) - lam . P] + lam . b bounds every feasible
+    value for any lam >= 0 (Yu & Lui 2006).  The per-state maximum is
+    closed form when each user enters at most one log term, each with a
+    positive weight w: the term spends its received power through the
+    cheaper user, so with u = max(a/lam1, b/lam2) it contributes
+    w phi(w u), phi(u) = log2(u/ln2) - 1/ln2 + 1/u for u > ln2 and 0
+    otherwise.  Returns None when the form does not apply or a zero
+    (or vanishingly small) multiplier leaves a term unbounded.
+    """
+    p = process.prob_array
+    lam1, lam2 = lam
+    users = np.array([[(a > 0).any(), (b > 0).any()] for _, a, b in objective.terms])
+    if (users.sum(axis=0) > 1).any():
+        return None
+    acc = 0.0
+    for w, a, b in objective.terms:
+        if not w > 0:
+            return None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = w * np.maximum(
+                np.where(a > 0, a / lam1, 0.0), np.where(b > 0, b / lam2, 0.0)
+            )
+        if not np.isfinite(u).all():
+            return None
+        live = u > LN2
+        ul = u[live]
+        acc += w * float(p[live] @ (np.log2(ul / LN2) - 1.0 / LN2 + 1.0 / ul))
+    return acc + lam1 * budget.p1_bar + lam2 * budget.p2_bar
 
 
 def kkt_residual_bundle(
@@ -530,33 +597,22 @@ def maximize_min_concave(
     )
 
 
-def _mac_winner_powers(ga, gb, m1, m2):
-    """Winner-take-all powers at dual multipliers (m1, m2).
-
-    Per state the user with the larger g/mu transmits at the received
-    water level (g/mu - 1)+; the other stays silent.  Ties go to user 1
-    here and are repaired by the caller.
-    """
-    s1 = np.where(ga > 0, ga / m1, 0.0)
-    s2 = np.where(gb > 0, gb / m2, 0.0)
-    one_wins = s1 >= s2
-    level = np.maximum(np.where(one_wins, s1, s2) - 1.0, 0.0)
-    p1 = np.where(one_wins & (ga > 0), level / np.where(ga > 0, ga, 1.0), 0.0)
-    p2 = np.where(~one_wins & (gb > 0), level / np.where(gb > 0, gb, 1.0), 0.0)
-    return p1, p2
-
-
 def mac_opportunistic_waterfill(
     process: FadingProcess, receiver: int, budget: PowerBudget, tol: float = 1e-6
 ) -> OptimizerReport:
     """Maximize the ergodic sum rate at one receiver of a two-user MAC.
 
-    Solves max E[log2(1 + g_1 P1 + g_2 P2)] s.t. E[P_k] <= budget_k by
-    bisecting the two dual multipliers (winner-take-all opportunistic
-    scheduling), splitting power across near-tied states to meet user
-    1's budget, then polishing with block-coordinate waterfilling until
-    the policy is stationary.  The polish preserves feasibility and
-    increases the objective monotonically.
+    Solves max E[log2(1 + g_1 P1 + g_2 P2)] s.t. E[P_k] <= budget_k
+    through its Lagrangian dual (Tse & Hanly 1998).  At multipliers
+    (lambda1, lambda2) each state is served by the user with the larger
+    g_k/lambda_k alone, so only the ratio rho = lambda1/lambda2 picks
+    the winners, and for a fixed rho one exact waterfill on
+    max(g_1, rho g_2) with budget b1 + b2/rho gives both users' powers.
+    A geometric bisection over rho meets user 1's budget; the received
+    power of states tied at g_1 = rho g_2 is split so user 1's budget
+    binds exactly.  A block-coordinate waterfilling polish follows and
+    stops at the first round that no longer raises the objective; it
+    keeps feasibility and never lowers the objective.
     """
     if receiver not in (1, 2):
         raise ValueError(f"receiver must be 1 or 2, got {receiver!r}")
@@ -584,68 +640,52 @@ def mac_opportunistic_waterfill(
         x2, _ = _waterfill_powers(gb, p, b2)
         return report(x1, x2, int(active1 or active2))
 
-    # Nested dual bisection in log-multiplier space; spending in each
-    # user's multiplier is monotone, so sign-based bisection converges
-    # even across winner flips.
-    lo_log, hi_log = math.log(1e-12), math.log(1e12)
-    evals = 0
+    # q is the winner's power in user-1 units: user 2 spends rho*q.  User
+    # 1's spending falls as rho rises, so the bisection keeps its sign.
+    def winner_powers(rho):
+        h = np.maximum(ga, rho * gb)
+        q, _ = _waterfill_powers(h, p, b1 + b2 / rho)
+        return h, q, ga >= rho * gb
 
-    def solve_m1(m2):
-        nonlocal evals
-        lo, hi = lo_log, hi_log
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            p1_mid, _ = _mac_winner_powers(ga, gb, math.exp(mid), m2)
-            evals += 1
-            if float(p @ p1_mid) > b1:
-                lo = mid
-            else:
-                hi = mid
-        return math.exp(0.5 * (lo + hi))
-
-    lo, hi = lo_log, hi_log
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        m2 = math.exp(mid)
-        m1 = solve_m1(m2)
-        _, p2_mid = _mac_winner_powers(ga, gb, m1, m2)
-        if float(p @ p2_mid) > b2:
+    lo, hi = 1e-30, 1e30
+    steps = 0
+    mid = math.sqrt(lo * hi)
+    while lo < mid < hi:
+        steps += 1
+        _, q, one_wins = winner_powers(mid)
+        if float(p @ np.where(one_wins, q, 0.0)) > b1:
             lo = mid
         else:
             hi = mid
-    m2 = math.exp(0.5 * (lo + hi))
-    m1 = solve_m1(m2)
-    p1_cur, p2_cur = _mac_winner_powers(ga, gb, m1, m2)
+        mid = math.sqrt(lo * hi)
+    rho = hi
+    h, q, one_wins = winner_powers(rho)
+    p1_cur = np.where(one_wins, q, 0.0)
+    p2_cur = np.where(one_wins, 0.0, rho * q)
 
-    # Repair near-ties: split the received water level so user 1's
-    # average power meets its budget exactly (linear in the fraction).
-    s1 = np.where(ga > 0, ga / m1, 0.0)
-    s2 = np.where(gb > 0, gb / m2, 0.0)
-    scale = np.maximum(s1, s2)
-    tie = (scale > 1.0) & (np.abs(s1 - s2) <= 1e-7 * scale) & (ga > 0) & (gb > 0)
+    # Split the received level of tied states so user 1's average power
+    # meets its budget exactly (linear in the fraction).
+    tie = (q > 0) & (ga > 0) & (gb > 0) & (np.abs(ga - rho * gb) <= 1e-7 * h)
     if tie.any():
-        level = np.maximum(scale - 1.0, 0.0)
+        level = h * q
         fixed = float(p[~tie] @ p1_cur[~tie])
         tie_spend = float(p[tie] @ (level[tie] / ga[tie]))
         frac = min(max((b1 - fixed) / tie_spend, 0.0), 1.0) if tie_spend > 0 else 0.0
-        p1_cur = p1_cur.copy()
-        p2_cur = p2_cur.copy()
         p1_cur[tie] = frac * level[tie] / ga[tie]
         p2_cur[tie] = (1.0 - frac) * level[tie] / gb[tie]
 
     # Block-coordinate polish: each user waterfills on its gain scaled
     # down by the other's received power.  Each half-step is an exact
-    # block maximum, so the objective ascends and budgets bind exactly.
+    # block maximum, so the objective ascends and budgets bind exactly;
+    # the polish stops once a round no longer raises it.
+    value = objective.value(p1_cur, p2_cur)
     rounds = 0
     for rounds in range(1, 401):
         eff1 = np.where(ga > 0, ga / (1.0 + gb * p2_cur), 0.0)
-        new1, _ = _waterfill_powers(eff1, p, b1)
-        eff2 = np.where(gb > 0, gb / (1.0 + ga * new1), 0.0)
-        new2, _ = _waterfill_powers(eff2, p, b2)
-        delta = max(
-            float(np.abs(new1 - p1_cur).max()), float(np.abs(new2 - p2_cur).max())
-        )
-        p1_cur, p2_cur = new1, new2
-        if delta <= 1e-13 * (1.0 + max(float(p1_cur.max()), float(p2_cur.max()))):
+        p1_cur, _ = _waterfill_powers(eff1, p, b1)
+        eff2 = np.where(gb > 0, gb / (1.0 + ga * p1_cur), 0.0)
+        p2_cur, _ = _waterfill_powers(eff2, p, b2)
+        last, value = value, objective.value(p1_cur, p2_cur)
+        if value <= last + 1e-15 * (1.0 + abs(last)):
             break
-    return report(p1_cur, p2_cur, evals + rounds)
+    return report(p1_cur, p2_cur, steps + rounds)

@@ -13,9 +13,11 @@ receiver 2), S3b (sum capacity at receiver 1).  Plain cases C1, C2,
 C3a, C3b have a strict bottleneck; C3c ties the two receiver sums; the
 B labels tie a link-sum bound with a receiver bound.  The sum-capacity
 search optimizes each case in a fixed order and accepts the first
-optimizer output satisfying its own case conditions, then cross-checks
-the value against a direct concave maximization of the polytope sum
-rate.  Restricted variants (used by the interference-channel layer)
+optimizer output satisfying its own case conditions, then certifies
+the value: by a weak-duality bound when one rate defines the case
+(C1, C2, C3a, C3b), otherwise, or when that bound is inconclusive, by
+a direct concave maximization of the polytope sum rate.  Restricted
+variants (used by the interference-channel layer)
 drop S2 or one receiver's sum bound from every condition.
 """
 
@@ -39,6 +41,8 @@ from .allocate import (
     _erate,
     _slsqp_polish,
     _waterfill_powers,
+    dual_bound,
+    kkt_multipliers,
     mac_opportunistic_waterfill,
     maximize_min_concave,
 )
@@ -377,10 +381,15 @@ def _sum_capacity_engine(
     waterfilling for C3a/C3b, pair blends for C3c and the two-bound
     ties, a direct three-objective max-min for the triple ties, then a
     full polytope maximization as fallback.  The first candidate that
-    satisfies its own case conditions is accepted, after two audits:
-    its case rate must equal the polytope sum rate at the candidate
-    policy, and a direct concave maximization must not beat it by more
-    than 1e-3 bits.
+    satisfies its own case conditions is accepted, after two audits.
+    Its case rate must equal the polytope sum rate at the candidate
+    policy within 1e-7.  And no policy may beat it by more than 1e-3
+    bits: for a single defining rate this is proved by the dual bound
+    of that rate at the candidate's KKT multipliers (the rate is one
+    piece of the polytope, so it bounds the polytope's maximum too);
+    for the ties, or when the bound is None or above the value plus
+    1e-3, a direct concave maximization of the polytope must not reach
+    past it, or ConvergenceError is raised.
     """
     if not (use_s3a or use_s3b):
         raise ValueError("at least one receiver sum bound must stay active")
@@ -497,6 +506,16 @@ def _sum_capacity_engine(
         CaseLabel.B2_3c: ("s2", "s3a", "s3b"),
     }
 
+    def certified(label: CaseLabel, policy: PowerPolicy, value: float) -> bool:
+        # Weak duality on the single defining bound at the candidate's own
+        # KKT multipliers: that bound is one piece of the polytope, so
+        # max polytope <= max f_def <= D(lam).
+        if len(_DEFINING[label]) != 1:
+            return False
+        obj = objs[_DEFINING[label][0]]
+        bound = dual_bound(process, obj, budget, kkt_multipliers(process, policy, obj, budget))
+        return bound is not None and bound <= value + 1e-3
+
     def crosscheck(value: float) -> None:
         rep = maximize_min_concave(
             process,
@@ -528,8 +547,10 @@ def _sum_capacity_engine(
         value = polytope_value(x1, x2)
         if abs(value - defining) > 1e-7:
             continue
-        crosscheck(value)
-        return value, PowerPolicy.from_arrays(x1, x2), label
+        policy = PowerPolicy.from_arrays(x1, x2)
+        if not certified(label, policy, value):
+            crosscheck(value)
+        return value, policy, label
 
     # Nothing accepted cleanly; maximize the polytope directly and label
     # the result at progressively looser equality tolerance.

@@ -53,6 +53,12 @@ def _swapped_budget(budget: PowerBudget) -> PowerBudget:
     return PowerBudget(p1_bar=budget.p2_bar, p2_bar=budget.p1_bar)
 
 
+def _swapped_allocation(allocation: "HkAllocation") -> "HkAllocation":
+    """The same allocation with the users' power columns exchanged."""
+    policy = allocation.policy
+    return HkAllocation(PowerPolicy(p1=policy.p2, p2=policy.p1), allocation.alpha)
+
+
 class NotEVS(PreconditionError):
     """The very-strong capacity formula does not apply to this channel."""
 
@@ -112,14 +118,12 @@ class HkAllocation:
 
 
 def _require_receiver1_sided(process: FadingProcess) -> None:
-    """Interference must enter at receiver 1 only (g21 = 0 everywhere)."""
-    g11, g12, g21, g22 = process.gain_arrays
-    if np.any(g21 != 0):
-        if not np.any(g12 != 0):
-            raise PreconditionError(
-                "interference enters at receiver 2, not receiver 1; "
-                "apply process.swap_users() first"
-            )
+    """Interference must enter at receiver 1 only (g21 = 0 everywhere).
+
+    Every caller swaps a receiver-2-sided channel first, so only a
+    two-sided channel fails here.
+    """
+    if np.any(process.gain_arrays[2] != 0):
         raise PreconditionError(
             "process is two-sided: both cross links carry nonzero gain in some state"
         )
@@ -540,8 +544,12 @@ def hk_sum_rates(process: FadingProcess, allocation: HkAllocation) -> tuple[floa
     S1 serves user 1 around the private interference and user 2 at full
     power; S2 charges user 2's private part at receiver 2 and the rest
     jointly at receiver 1.  The scheme achieves min(S1, S2); at
-    alpha = 1 the two coincide identically.
+    alpha = 1 the two coincide identically.  On a channel whose
+    interference enters at receiver 2 the users swap roles, as in
+    hk_optimize, and alpha splits user 1's power.
     """
+    if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
+        return hk_sum_rates(process.swap_users(), _swapped_allocation(allocation))
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     p = process.prob_array
@@ -561,8 +569,11 @@ def hk_region_bounds(
     Returns (r1_cap, r2_cap_direct, r2_cap_split, sum_cap): user 1
     decoding around private interference, user 2's clean direct cap,
     user 2 split across the two receivers, and the joint bound at
-    receiver 1.
+    receiver 1.  On a channel whose interference enters at receiver 2
+    the users swap roles, as in hk_sum_rates.
     """
+    if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
+        return hk_region_bounds(process.swap_users(), _swapped_allocation(allocation))
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     p = process.prob_array
@@ -774,8 +785,7 @@ def hk_optimize(
     """
     if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
         value, alloc, case = hk_optimize(process.swap_users(), _swapped_budget(budget))
-        policy = PowerPolicy(p1=alloc.policy.p2, p2=alloc.policy.p1)
-        return value, HkAllocation(policy, alloc.alpha), case
+        return value, _swapped_allocation(alloc), case
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     p = process.prob_array
@@ -824,8 +834,7 @@ def separable_one_sided_baseline(
         value, alloc = separable_one_sided_baseline(
             process.swap_users(), _swapped_budget(budget)
         )
-        policy = PowerPolicy(p1=alloc.policy.p2, p2=alloc.policy.p1)
-        return value, HkAllocation(policy, alloc.alpha)
+        return value, _swapped_allocation(alloc)
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     p = process.prob_array

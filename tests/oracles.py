@@ -116,6 +116,63 @@ def waterfill_bisect(gains, probs, budget: float, iters: int = 200) -> np.ndarra
     return np.maximum(0.5 * (lo + hi) - inv, 0.0)
 
 
+def mac_iterative_waterfill(process: FadingProcess, receiver: int, budget: PowerBudget,
+                            max_rounds: int = 20000) -> tuple[float, np.ndarray, np.ndarray]:
+    """Sum-rate MAC optimum by iterative waterfilling (Yu et al. 2004).
+
+    Each user in turn waterfills (by bisection) against the other's
+    received power as noise, until a round no longer raises the sum
+    rate E[log2(1 + g_1 P1 + g_2 P2)].  Returns (value, P1, P2).
+    """
+    g11, g12, g21, g22 = process.gain_arrays
+    ga, gb = (g11, g12) if receiver == 1 else (g21, g22)
+    p = process.prob_array
+
+    def value(x1, x2):
+        return float(p @ np.log2(1.0 + ga * x1 + gb * x2))
+
+    def solo(g, noise, cap):
+        if cap <= 0 or not (g > 0).any():
+            return np.zeros_like(g)
+        return waterfill_bisect(g / noise, p, cap)
+
+    x1 = np.zeros_like(p)
+    x2 = np.zeros_like(p)
+    best = value(x1, x2)
+    for _ in range(max_rounds):
+        x1 = solo(ga, 1.0 + gb * x2, budget.p1_bar)
+        x2 = solo(gb, 1.0 + ga * x1, budget.p2_bar)
+        last, best = best, value(x1, x2)
+        if best <= last + 1e-16:
+            break
+    return best, x1, x2
+
+
+def face_grid_max(objective, budget: PowerBudget, points: int = 61) -> float:
+    """Max of a RateObjective over a grid of the full-budget face, 1-2 states.
+
+    Each state's power follows from the first state's power and the
+    budget; a nonnegative-coefficient objective is nondecreasing in
+    every power, so its maximum lies on that face.
+    """
+    p = objective.probs
+    if p.shape[0] == 1:
+        X1 = np.array([[budget.p1_bar]])
+        X2 = np.array([[budget.p2_bar]])
+    elif p.shape[0] == 2:
+        axes = []
+        for cap in (budget.p1_bar, budget.p2_bar):
+            t = np.linspace(0.0, cap / p[0], points)
+            axes.append(np.column_stack([t, np.maximum(cap - p[0] * t, 0.0) / p[1]]))
+        X1, X2 = axes
+    else:
+        raise NotImplementedError("face grid handles 1 or 2 states only")
+    acc = 0.0
+    for w, a, b in objective.terms:
+        acc = acc + w * (np.log1p(a * X1[:, None, :] + b * X2[None, :, :]) @ p)
+    return float(acc.max()) / LN2
+
+
 def central_diff_gradient(fn, x1: np.ndarray, x2: np.ndarray, h: float = 1e-6):
     """Central finite differences of fn(x1, x2) in every power coordinate."""
     x1 = np.asarray(x1, dtype=float)

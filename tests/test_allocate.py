@@ -9,6 +9,8 @@ from fading_ifc.allocate import (
     RateObjective,
     _project_capped,
     _waterfill_powers,
+    dual_bound,
+    kkt_multipliers,
     kkt_residual,
     kkt_residual_bundle,
     mac_opportunistic_waterfill,
@@ -16,7 +18,12 @@ from fading_ifc.allocate import (
     waterfill,
 )
 
-from oracles import central_diff_gradient, channel, random_feasible_policy
+from oracles import (
+    central_diff_gradient,
+    channel,
+    mac_iterative_waterfill,
+    random_feasible_policy,
+)
 
 B11 = PowerBudget(1.0, 1.0)
 
@@ -225,6 +232,42 @@ class TestMaximizeMinConcave:
         assert kkt_residual_bundle(proc, rep.policy, objs, B11) <= 1e-4
 
 
+class TestDualBound:
+    def test_tight_at_the_optimum(self):
+        # strong duality: at the optimum's own multipliers the bound is the value
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 16):
+            gains = rng.exponential(1.0, (n, 4))
+            proc = channel([tuple(r) for r in gains], rng.dirichlet(np.ones(n)))
+            budget = PowerBudget(*rng.uniform(0.2, 3.0, 2))
+            g11, g12, _, g22 = proc.gain_arrays
+            p = proc.prob_array
+            links = RateObjective(p, [(1.0, g11, 0.0), (1.0, 0.0, g22)])
+            x1, _ = _waterfill_powers(g11, p, budget.p1_bar)
+            x2, _ = _waterfill_powers(g22, p, budget.p2_bar)
+            rx1 = RateObjective(p, [(1.0, g11, g12)])
+            mac = mac_opportunistic_waterfill(proc, 1, budget).policy
+            for obj, policy in ((links, PowerPolicy.from_arrays(x1, x2)), (rx1, mac)):
+                lam = kkt_multipliers(proc, policy, obj, budget)
+                value = obj.value(*policy.arrays)
+                assert dual_bound(proc, obj, budget, lam) == pytest.approx(value, abs=1e-9)
+                # any other multiplier gives a looser bound
+                assert dual_bound(proc, obj, budget, (1.5 * lam[0], lam[1])) > value
+
+    def test_none_outside_the_closed_form(self):
+        proc = channel([(1, 2, 0, 0), (3, 1, 0, 0)])
+        p = proc.prob_array
+        twice = RateObjective(p, [(1.0, 1.0, 0.0), (1.0, 2.0, 0.0)])
+        assert dual_bound(proc, twice, B11, (1.0, 1.0)) is None
+        negative = RateObjective(p, [(-1.0, 1.0, 0.0)])
+        assert dual_bound(proc, negative, B11, (1.0, 1.0)) is None
+        joint = RateObjective(p, [(1.0, 1.0, 2.0)])
+        assert dual_bound(proc, joint, B11, (0.0, 1.0)) is None
+        # a user with no gain in any term needs no multiplier
+        solo = RateObjective(p, [(1.0, 1.0, 0.0)])
+        assert dual_bound(proc, solo, B11, (1.0, 0.0)) is not None
+
+
 class TestMacOpportunisticWaterfill:
     def test_opposed_fading_schedules_the_stronger_user(self):
         proc = channel([(4, 1, 0, 0), (1, 4, 0, 0)])
@@ -255,6 +298,42 @@ class TestMacOpportunisticWaterfill:
         silent = mac_opportunistic_waterfill(proc, 1, PowerBudget(0.0, 1.0))
         assert silent.iterations == 0
         np.testing.assert_array_equal(silent.policy.arrays[0], 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_matches_iterative_waterfilling(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            gains = rng.exponential(1.0, (n, 4)) * np.array([1.0, 0.3, 3.0, 1.0])
+            proc = channel([tuple(r) for r in gains], rng.dirichlet(np.ones(n)))
+            budget = PowerBudget(*rng.uniform(0.2, 3.0, 2))
+            for receiver in (1, 2):
+                rep = mac_opportunistic_waterfill(proc, receiver, budget)
+                want, _, _ = mac_iterative_waterfill(proc, receiver, budget)
+                assert rep.value == pytest.approx(want, abs=1e-9)
+                assert rep.converged
+
+    def test_tied_states_split_the_budgets(self):
+        # both users see the same gain in every state: every state is a tie
+        proc = channel([(1, 1, 0, 0), (2, 2, 0, 0), (0.5, 0.5, 0, 0)])
+        budget = PowerBudget(0.4, 1.3)
+        rep = mac_opportunistic_waterfill(proc, 1, budget)
+        want, _, _ = mac_iterative_waterfill(proc, 1, budget)
+        assert rep.value == pytest.approx(want, abs=1e-9)
+        assert rep.converged
+        p = proc.prob_array
+        assert float(p @ rep.policy.arrays[0]) == pytest.approx(0.4, abs=1e-12)
+        assert float(p @ rep.policy.arrays[1]) == pytest.approx(1.3, abs=1e-12)
+
+    def test_many_states_converge_in_few_steps(self):
+        rng = np.random.default_rng(2)
+        g = rng.exponential(1.0, (4, 2000))
+        proc = channel(list(zip(g[0], 0.3 * g[1], 3.0 * g[2], g[3])))
+        for receiver in (1, 2):
+            rep = mac_opportunistic_waterfill(proc, receiver, B11)
+            assert rep.converged
+            assert rep.kkt_residual <= 1e-12
+            # about 60 ratio bisection steps, then one or two polish rounds
+            assert rep.iterations <= 100
 
     def test_receiver_argument_checked(self):
         with pytest.raises(ValueError, match="receiver"):

@@ -1,11 +1,13 @@
 """Case-based sum capacity of the compound MAC and its region boundary."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fading_ifc import allocate
-from fading_ifc.allocate import RateObjective
-from fading_ifc.channel import PowerBudget, PowerPolicy
+from fading_ifc import allocate, cmac, ifc
+from fading_ifc.allocate import RateObjective, dual_bound, kkt_multipliers
+from fading_ifc.channel import ConvergenceError, PowerBudget, PowerPolicy
 from fading_ifc.cmac import (
     CASE_EQ_TOL,
     CaseLabel,
@@ -107,6 +109,63 @@ class TestSumCapacity:
             sum_capacity(proc, PowerBudget(b, 0.8 * b))[0] for b in (0.4, 1.0, 2.5)
         ]
         assert values[0] <= values[1] + 1e-9 <= values[2] + 2e-9
+
+
+def _count_ascent_calls(monkeypatch) -> list:
+    """Count maximize_min_concave calls under every name the package uses."""
+    calls = []
+    real = allocate.maximize_min_concave
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (allocate, cmac, ifc):
+        if hasattr(module, "maximize_min_concave"):
+            monkeypatch.setattr(module, "maximize_min_concave", counted)
+    return calls
+
+
+class TestCrosscheck:
+    # receiver 1's sum bound binds alone at the MAC optimum
+    C3B = channel([(0.8, 0.6, 4, 1)])
+
+    def test_single_bound_cases_certified_without_ascent(self, monkeypatch):
+        calls = _count_ascent_calls(monkeypatch)
+        for gains in ((1, 4, 4, 1), (4, 0.5, 0.5, 4), (1, 4, 0.6, 0.8), (0.8, 0.6, 4, 1)):
+            sum_capacity(channel([gains]), B11)
+        assert calls == []
+
+    def test_many_state_c3b_channel_runs_no_ascent(self, monkeypatch):
+        calls = _count_ascent_calls(monkeypatch)
+        rng = np.random.default_rng([7, 2])
+        g = rng.exponential(1.0, (4, 2000))
+        proc = channel(list(zip(g[0], 0.3 * g[1], 3.0 * g[2], g[3])))
+        value, policy, label = sum_capacity(proc, B11)
+        assert label is CaseLabel.C3b
+        assert sum_rate_fixed_policy(proc, policy) == pytest.approx(value, abs=1e-12)
+        assert calls == []
+
+    def test_suboptimal_candidate_fails_certificate_and_ascent_raises(self, monkeypatch):
+        real = cmac.mac_opportunistic_waterfill
+
+        def scaled_down(process, receiver, budget, tol=1e-6):
+            rep = real(process, receiver, budget, tol)
+            a1, a2 = rep.policy.arrays
+            return replace(rep, policy=PowerPolicy.from_arrays(0.5 * a1, 0.5 * a2))
+
+        monkeypatch.setattr(cmac, "mac_opportunistic_waterfill", scaled_down)
+        calls = _count_ascent_calls(monkeypatch)
+        policy = scaled_down(self.C3B, 1, B11).policy
+        assert identify_case(self.C3B, policy) is CaseLabel.C3b
+        value = sum_rate_fixed_policy(self.C3B, policy)
+        s3b = RateObjective(self.C3B.prob_array, [(1.0, 0.8, 0.6)])
+        lam = kkt_multipliers(self.C3B, policy, s3b, B11)
+        bound = dual_bound(self.C3B, s3b, B11, lam)
+        assert bound is None or bound > value + 1e-3
+        with pytest.raises(ConvergenceError, match="disagrees with the polytope"):
+            sum_capacity(self.C3B, B11)
+        assert calls == [1]
 
 
 class TestBlendCandidate:

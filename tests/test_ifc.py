@@ -325,6 +325,14 @@ class TestHkOptimize:
         assert twin_alloc.policy.p1 == alloc.policy.p2
         assert twin_alloc.policy.p2 == alloc.policy.p1
 
+    def test_rate_helpers_accept_receiver2_allocation(self):
+        proc = channel([(1, 0.25, 0, 1), (2, 0.5, 0, 1.5)])
+        _, alloc, _ = hk_optimize(proc, PowerBudget(1.0, 0.7))
+        mirror = proc.swap_users()
+        _, mirror_alloc, _ = hk_optimize(mirror, PowerBudget(0.7, 1.0))
+        assert hk_sum_rates(mirror, mirror_alloc) == hk_sum_rates(proc, alloc)
+        assert hk_region_bounds(mirror, mirror_alloc) == hk_region_bounds(proc, alloc)
+
     def test_hybrid_value_attained_by_allocation(self):
         value, alloc, _ = hk_optimize(HYBRID_ONE_SIDED, B11)
         s1, s2 = hk_sum_rates(HYBRID_ONE_SIDED, alloc)

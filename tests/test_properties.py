@@ -10,16 +10,17 @@ from fading_ifc.channel import (
     channel_from_dict,
     channel_to_dict,
 )
-from fading_ifc.allocate import _project_capped, _waterfill_powers, waterfill
+from fading_ifc.allocate import _project_capped, _waterfill_powers, dual_bound, waterfill
 from fading_ifc.classify import StateLabel, classify_state
-from fading_ifc.cmac import sum_rate_fixed_policy
+from fading_ifc.cmac import _engine_objectives, sum_rate_fixed_policy
 from fading_ifc.ifc import HkAllocation, hk_sum_rates, tdm_baseline
 
-from oracles import channel, waterfill_bisect
+from oracles import channel, face_grid_max, waterfill_bisect
 
 finite_gain = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 pos_gain = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
 power = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+multiplier = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=20.0))
 
 
 @st.composite
@@ -86,6 +87,29 @@ def test_projection_returns_feasible_point(y, cap):
     x = _project_capped(y, p, cap)
     assert (x >= -1e-12).all()
     assert float(p @ x) <= cap + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    states=gain_tuples(n_max=2),
+    first_prob=st.floats(min_value=0.05, max_value=0.95),
+    b1=power,
+    b2=power,
+    lam=st.tuples(multiplier, multiplier),
+)
+def test_dual_bound_dominates_grid_maximum(states, first_prob, b1, b2, lam):
+    probs = [1.0] if len(states) == 1 else [first_prob, 1.0 - first_prob]
+    proc = channel(states, probs)
+    budget = PowerBudget(b1, b2)
+    objs, _, _ = _engine_objectives(proc, True, True, True)
+    for obj in objs.values():
+        bound = dual_bound(proc, obj, budget, lam)
+        if bound is None:
+            # only a zero multiplier leaves a term unbounded
+            assert 0.0 in lam
+            continue
+        best = face_grid_max(obj, budget)
+        assert bound >= best - 1e-9 * (1.0 + abs(best))
 
 
 @settings(max_examples=25, deadline=None)
