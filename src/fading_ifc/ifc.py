@@ -612,7 +612,13 @@ def _hk_gradients(g11, g12, g22, p, x1, x2, q, which: int):
 
 def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
                    probs: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Joint projection onto {0 <= q <= x2 (q = 0 where not free), p@x2 <= cap}."""
+    """Joint projection onto {0 <= q <= x2 (q = 0 where not free), p@x2 <= cap}.
+
+    The metric is the p-weighted one in which the ascent steps grad/p
+    are taken, so a binding budget shifts y2 uniformly (as in
+    _project_capped) before the per-state wedge projection; the shift is
+    found by bisection.
+    """
 
     def wedge(a, b):
         u = np.where(b <= 0, np.maximum(a, 0.0), a)
@@ -621,23 +627,24 @@ def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
         w = np.maximum(0.5 * (a + b), 0.0)
         u = np.where(over, w, np.maximum(u, 0.0))
         v = np.where(over, w, np.clip(v, 0.0, np.maximum(u, 0.0)))
-        v = np.where(free_q, v, 0.0)
         return u, v
 
+    # A state without private power projects onto the half-line q = 0.
+    yq = np.where(free_q, yq, 0.0)
     u, v = wedge(y2, yq)
     if probs @ u <= cap + 1e-15:
         return u, v
     # The on-line region takes u = (a + b)/2, so theta must absorb yq too.
     lo = 0.0
-    hi = float((np.max(np.abs(y2)) + np.max(np.abs(yq))) / np.min(probs) + 1.0)
+    hi = float(np.max(np.abs(y2)) + np.max(np.abs(yq)) + 1.0)
     for _ in range(90):
         th = 0.5 * (lo + hi)
-        u, v = wedge(y2 - th * probs, yq)
+        u, v = wedge(y2 - th, yq)
         if probs @ u > cap:
             lo = th
         else:
             hi = th
-    u, v = wedge(y2 - hi * probs, yq)
+    u, v = wedge(y2 - hi, yq)
     return u, v
 
 

@@ -7,6 +7,7 @@ evidence the fast paths are right.
 """
 
 import numpy as np
+from scipy import optimize as sciopt
 
 from fading_ifc.channel import (
     FadingProcess,
@@ -171,6 +172,34 @@ def face_grid_max(objective, budget: PowerBudget, points: int = 61) -> float:
     for w, a, b in objective.terms:
         acc = acc + w * (np.log1p(a * X1[:, None, :] + b * X2[None, :, :]) @ p)
     return float(acc.max()) / LN2
+
+
+def wedge_projection_qp(y2, yq, free_q, probs, cap: float):
+    """Projection onto {0 <= q <= x2, q = 0 off free_q, probs @ x2 <= cap}.
+
+    Solves the quadratic program min sum_h p_h [(x2_h - y2_h)^2 +
+    (q_h - yq_h)^2] by SLSQP from the origin: the p-weighted metric in
+    which the ascent steps grad/p are taken.  Returns (x2, q).
+    """
+    y2, yq, p = (np.asarray(v, dtype=float) for v in (y2, yq, probs))
+    n = p.shape[0]
+
+    def fun(z):
+        return float(p @ ((z[:n] - y2) ** 2 + (z[n:] - yq) ** 2))
+
+    def jac(z):
+        return 2.0 * np.concatenate([p * (z[:n] - y2), p * (z[n:] - yq)])
+
+    wedge_jac = np.hstack([np.eye(n), -np.eye(n)])
+    budget_jac = np.concatenate([-p, np.zeros(n)])
+    cons = [
+        {"type": "ineq", "fun": lambda z: z[:n] - z[n:], "jac": lambda z: wedge_jac},
+        {"type": "ineq", "fun": lambda z: cap - float(p @ z[:n]), "jac": lambda z: budget_jac},
+    ]
+    bounds = [(None, None)] * n + [(0.0, None) if f else (0.0, 0.0) for f in free_q]
+    res = sciopt.minimize(fun, np.zeros(2 * n), jac=jac, bounds=bounds, constraints=cons,
+                          method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000})
+    return res.x[:n], res.x[n:]
 
 
 def central_diff_gradient(fn, x1: np.ndarray, x2: np.ndarray, h: float = 1e-6):

@@ -13,6 +13,7 @@ from fading_ifc.ifc import (
     NotUniformlyMixed,
     NotUniformlyStrong,
     NotUniformlyWeak,
+    _project_wedge,
     evs_sum_capacity,
     hk_optimize,
     hk_region_bounds,
@@ -27,7 +28,7 @@ from fading_ifc.ifc import (
     uw2_upper_bound,
 )
 
-from oracles import channel, random_feasible_policy
+from oracles import channel, random_feasible_policy, wedge_projection_qp
 
 B11 = PowerBudget(1.0, 1.0)
 
@@ -277,6 +278,21 @@ class TestHkAllocation:
         alloc = HkAllocation(PowerPolicy.constant(1.0, 2.0, 2), (0.25, 0.75))
         np.testing.assert_allclose(alloc.private_powers, [0.5, 1.5])
         np.testing.assert_allclose(alloc.common_powers + alloc.private_powers, 2.0)
+
+
+class TestProjectWedge:
+    def test_matches_weighted_qp_on_unequal_probabilities(self):
+        # the ascent steps by grad/p, so the projection is in the p-weighted metric
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            p = rng.dirichlet(np.ones(3))
+            y2, yq = rng.uniform(-1.0, 3.0, (2, 3))
+            free = rng.random(3) < 0.7
+            cap = rng.uniform(0.2, 1.5)
+            u, v = _project_wedge(y2, yq, free, p, cap)
+            want_u, want_v = wedge_projection_qp(y2, yq, free, p, cap)
+            np.testing.assert_allclose(u, want_u, atol=1e-6)
+            np.testing.assert_allclose(v, want_v, atol=1e-6)
 
 
 class TestHkOptimize:
