@@ -12,6 +12,12 @@ policy can be audited by its KKT residual and, for objectives whose
 per-state Lagrangian maximum is closed form, by a weak-duality upper
 bound at its KKT multipliers.
 
+Every rate objective is one RateObjective: coefficient tensors for a
+fading-averaged minimum over branches of weighted log terms, evaluated
+for one policy or a batch.  Every ascent in the package, here and in
+the non-concave searches of ``ifc``, is one loop (_ascend) that runs
+all its starts as rows of one array.
+
 Rates are bits per channel use.  Budgets are long-run averages: a
 policy is feasible when E[P_k] <= budget_k + POWER_TOL and every
 per-state power is nonnegative.  States where a user's gain is zero
@@ -83,20 +89,20 @@ class OptimizerReport:
     converged: bool
 
 
-def _capped_shift(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
+def _capped_shift(y: np.ndarray, p: np.ndarray, cap) -> np.ndarray:
     """The shift theta with p @ (y - theta)+ = cap, for each row of y.
 
     Exact by sorting (Duchi et al. 2008, Condat 2016): with a row sorted
     in descending order the support of (y - theta)+ is a prefix.  The
     candidate shift of each prefix rises with the prefix until the
     support is complete and falls after it, so theta is the largest
-    candidate that stays at or below its own last entry.  Needs cap > 0
-    and finite y of shape (n,) or (m, n).
+    candidate that stays at or below its own last entry.  Needs finite
+    y of shape (..., n) and cap > 0, a scalar or one cap per row.
     """
     order = y.argsort(axis=-1)[..., ::-1]
     ys = np.sort(y, axis=-1)[..., ::-1]
     ps = p[order]
-    t_cand = ((ps * ys).cumsum(axis=-1) - cap) / ps.cumsum(axis=-1)
+    t_cand = ((ps * ys).cumsum(axis=-1) - np.asarray(cap)[..., None]) / ps.cumsum(axis=-1)
     admissible = t_cand <= ys
     # The one-entry prefix always qualifies in exact arithmetic, but a cap
     # far below the entries' spacing can round its candidate above them.
@@ -160,105 +166,100 @@ def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> Waterf
 
 
 class RateObjective:
-    """Fading-averaged weighted sum of log rate terms.
+    """Fading-averaged minimum over branches of weighted log rate terms.
 
-    f(P1, P2) = sum_r w_r E[log2(1 + a_r P1 + b_r P2)], where a_r and
-    b_r are per-state nonnegative coefficient vectors (scalars
-    broadcast).  Negative weights are allowed; whether the combination
-    is concave is the caller's responsibility.
+    f(P) = E[min_k sum_r w_kr log2(1 + c_kr . P)], where P stacks the
+    per-state powers (P1, P2, and any further power variable) and each
+    coefficient c_kr,j is a per-state nonnegative vector (scalars
+    broadcast).  The constructor builds the one-branch case, a plain
+    weighted sum; PerStateMinRate builds several.  The terms are stored
+    as tensors: ``weights`` of shape (branches, terms), and ``coef`` of
+    shape (powers, branches, terms, n), so coef[j] holds the
+    coefficients of power variable j; shorter branches are padded with
+    zero terms.  Every method takes the power variables as arrays of
+    shape (n,) or (m, n), the latter a batch of m policies.  Negative
+    weights are allowed; whether the combination is concave is the
+    caller's responsibility.
     """
 
-    __slots__ = ("probs", "terms")
+    __slots__ = ("probs", "weights", "coef")
 
-    def __init__(self, probs, terms: Sequence[tuple[float, object, object]]):
+    def __init__(self, probs, terms: Sequence[tuple]):
+        self._load(probs, [terms])
+
+    def _load(self, probs, branches) -> None:
         self.probs = np.asarray(probs, dtype=float)
         n = self.probs.shape[0]
-        built = []
-        for w, a, b in terms:
-            a_vec = np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
-            b_vec = np.broadcast_to(np.asarray(b, dtype=float), (n,)).copy()
-            built.append((float(w), a_vec, b_vec))
-        self.terms = built
+        branches = [list(branch) for branch in branches]
+        width = max(len(branch) for branch in branches)
+        self.weights = np.zeros((len(branches), width))
+        self.coef = np.zeros((len(branches[0][0]) - 1, len(branches), width, n))
+        for i, branch in enumerate(branches):
+            for r, (w, *c) in enumerate(branch):
+                self.weights[i, r] = w
+                self.coef[:, i, r] = [np.broadcast_to(np.asarray(cj, dtype=float), (n,)) for cj in c]
 
-    def value(self, p1: np.ndarray, p2: np.ndarray) -> float:
-        acc = 0.0
-        for w, a, b in self.terms:
-            acc += w * float(self.probs @ np.log1p(a * p1 + b * p2))
-        return acc / LN2
+    def _received(self, powers) -> np.ndarray:
+        """c_kr . P per state, shape (..., branches, terms, n)."""
+        return np.einsum("vkrn,v...n->...krn", self.coef, np.asarray(powers))
 
-    def gradient(self, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g1 = np.zeros_like(self.probs)
-        g2 = np.zeros_like(self.probs)
-        for w, a, b in self.terms:
-            den = 1.0 + a * p1 + b * p2
-            g1 += w * self.probs * a / den
-            g2 += w * self.probs * b / den
-        return g1 / LN2, g2 / LN2
+    def _rates(self, received: np.ndarray) -> np.ndarray:
+        """Per-state branch rates in nats, shape (..., branches, n).
+
+        The terms are added in their given order (einsum may not).
+        """
+        return (self.weights[:, :, None] * np.log1p(received)).sum(axis=-2)
+
+    def _follow(self, received: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        """The gradient, shape (powers, ..., n), when each state follows the
+        lowest-index branch that minimizes ``rates``."""
+        follow = rates.argmin(axis=-2)[..., None, :] == np.arange(self.weights.shape[0])[:, None]
+        scaled = self.weights[:, :, None] * follow[..., None, :] / (1.0 + received)
+        return np.einsum("vkrn,...krn->v...n", self.coef, scaled) * (self.probs / LN2)
+
+    def branch_values(self, *powers) -> np.ndarray:
+        """Per-state branch rates in bits, shape (..., branches, n)."""
+        return self._rates(self._received(powers)) / LN2
+
+    def value(self, *powers):
+        """f in bits: a float, or one value per batch row."""
+        v = self.branch_values(*powers).min(axis=-2) @ self.probs
+        return float(v) if v.ndim == 0 else v
+
+    def gradient(self, *powers) -> tuple[np.ndarray, ...]:
+        """A supergradient, one array per power variable.
+
+        Each state follows its lowest-index minimizing branch.
+        """
+        received = self._received(powers)
+        return tuple(self._follow(received, self._rates(received)))
 
 
-class PerStateMinRate:
+def PerStateMinRate(probs, branches) -> RateObjective:
     """Expectation of a per-state minimum over branch rates.
 
     Each branch is a list of (weight, a, b) log terms as in
-    RateObjective, but the minimum is taken inside the expectation:
-    f(P1, P2) = E[min_i sum_r w_ir log2(1 + a_ir P1 + b_ir P2)].  A
-    supergradient follows the lowest-index minimizing branch per state.
+    RateObjective, and the minimum is taken inside the expectation:
+    f(P1, P2) = E[min_i sum_r w_ir log2(1 + a_ir P1 + b_ir P2)].
     """
-
-    __slots__ = ("probs", "branches")
-
-    def __init__(self, probs, branches):
-        self.probs = np.asarray(probs, dtype=float)
-        n = self.probs.shape[0]
-        built = []
-        for branch in branches:
-            rows = []
-            for w, a, b in branch:
-                a_vec = np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
-                b_vec = np.broadcast_to(np.asarray(b, dtype=float), (n,)).copy()
-                rows.append((float(w), a_vec, b_vec))
-            built.append(rows)
-        self.branches = built
-
-    def branch_values(self, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        """Per-state branch rates in bits, shape (n_branches, n_states)."""
-        out = np.zeros((len(self.branches), self.probs.shape[0]))
-        for i, rows in enumerate(self.branches):
-            for w, a, b in rows:
-                out[i] += w * np.log1p(a * p1 + b * p2)
-        return out / LN2
-
-    def value(self, p1: np.ndarray, p2: np.ndarray) -> float:
-        return float(self.probs @ self.branch_values(p1, p2).min(axis=0))
-
-    def gradient(self, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        winner = self.branch_values(p1, p2).argmin(axis=0)
-        g1 = np.zeros_like(self.probs)
-        g2 = np.zeros_like(self.probs)
-        for i, rows in enumerate(self.branches):
-            mask = winner == i
-            if not mask.any():
-                continue
-            for w, a, b in rows:
-                den = 1.0 + a[mask] * p1[mask] + b[mask] * p2[mask]
-                g1[mask] += w * self.probs[mask] * a[mask] / den
-                g2[mask] += w * self.probs[mask] * b[mask] / den
-        return g1 / LN2, g2 / LN2
+    objective = RateObjective.__new__(RateObjective)
+    objective._load(probs, branches)
+    return objective
 
 
-def _project_capped(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
-    """Project y onto {x >= 0, p.x <= cap} in the p-weighted metric.
+def _project_capped(y: np.ndarray, p: np.ndarray, cap) -> np.ndarray:
+    """Project each row of y onto {x >= 0, p.x <= cap} in the p-weighted metric.
 
     The projection is a constant downward shift followed by clipping:
-    x = (y - theta)+ with theta chosen so the budget binds whenever the
-    clipped point overspends.  theta is found exactly by sorting.
+    x = (y - theta)+.  The exact shift at which the budget binds
+    (_capped_shift) is negative when the clipped point is within budget,
+    so theta is that shift or zero, whichever is larger.  y is (..., n);
+    cap is a scalar or one budget per row, and a row whose cap is not
+    positive is silenced (its shift is meaningless but finite).
     """
-    x = np.maximum(y, 0.0)
-    if cap <= 0.0:
-        return np.zeros_like(x)
-    if float(p @ x) <= cap:
-        return x
-    return np.maximum(y - _capped_shift(y, p, cap), 0.0)
+    cap = np.asarray(cap, dtype=float)
+    theta = np.maximum(_capped_shift(y, p, cap), 0.0)
+    return np.maximum(y - theta[..., None], 0.0) * (cap > 0)[..., None]
 
 
 def _kkt_multiplier(p: np.ndarray, powers: np.ndarray, G: np.ndarray, slack: float) -> float:
@@ -327,16 +328,18 @@ def dual_bound(
     positive weight w: the term spends its received power through the
     cheaper user, so with u = max(a/lam1, b/lam2) it contributes
     w phi(w u), phi(u) = log2(u/ln2) - 1/ln2 + 1/u for u > ln2 and 0
-    otherwise.  Returns None when the form does not apply or a zero
+    otherwise.  Returns None when the form does not apply (several
+    branches, a user in two terms, a nonpositive weight) or a zero
     (or vanishingly small) multiplier leaves a term unbounded.
     """
+    if objective.weights.shape[0] != 1:
+        return None
     p = process.prob_array
     lam1, lam2 = lam
-    users = np.array([[(a > 0).any(), (b > 0).any()] for _, a, b in objective.terms])
-    if (users.sum(axis=0) > 1).any():
+    if ((objective.coef[:, 0] > 0).any(axis=-1).sum(axis=-1) > 1).any():
         return None
     acc = 0.0
-    for w, a, b in objective.terms:
+    for w, a, b in zip(objective.weights[0], *objective.coef[:, 0]):
         if not w > 0:
             return None
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,7 +351,7 @@ def dual_bound(
         live = u > LN2
         ul = u[live]
         acc += w * float(p[live] @ (np.log2(ul / LN2) - 1.0 / LN2 + 1.0 / ul))
-    return acc + lam1 * budget.p1_bar + lam2 * budget.p2_bar
+    return float(acc + lam1 * budget.p1_bar + lam2 * budget.p2_bar)
 
 
 def kkt_residual_bundle(
@@ -494,6 +497,70 @@ def _epigraph_polish(p, objectives, b1, b2, x1, x2, maxiter=300):
     return None if out is None else out[:2]
 
 
+def _ascend(objectives, x, project, p: np.ndarray, budget: PowerBudget, steps: int,
+            target: float | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Projected supergradient ascent on min(objectives), one row per start.
+
+    x is (powers, starts, n): one array of start rows per power
+    variable; project maps such an array onto the feasible set row by
+    row.  Each step moves every row along the gradient of its own
+    minimizing objective, scaled by 1/p (the p-weighted metric), with
+    step c/sqrt(t), c the larger budget (at least 1e-3).  Iterates are
+    averaged over doubling windows, and each row keeps the best point
+    among its raw iterates and window averages.  ``target`` stops the
+    whole run once some row's best value reaches it.  Returns the best
+    values (starts,), the best points (powers, starts, n) and the number
+    of steps taken.
+    """
+    # All objectives' branches side by side in one tensor, so that one
+    # evaluation serves every objective and every row.
+    sizes = [o.weights.shape[0] for o in objectives]
+    fused = PerStateMinRate(p, [
+        [(w, *c) for w, *c in zip(o.weights[k], *o.coef[:, k])]
+        for o, size in zip(objectives, sizes) for k in range(size)
+    ])
+    first = np.cumsum([0] + sizes[:-1])
+    owner = np.repeat(np.arange(len(objectives)), sizes)
+
+    def evaluate(z):
+        received = fused._received(z)
+        rates = fused._rates(received)
+        return received, rates, (np.minimum.reduceat(rates, first, axis=-2) @ p) / LN2
+
+    scale = max(budget.p1_bar, budget.p2_bar, 1e-3)
+    x = project(np.asarray(x, dtype=float))
+    best_v = np.full(x.shape[1], -np.inf)
+    best = x.copy()
+
+    def keep(z, vals) -> bool:
+        v = vals.min(axis=1)
+        better = v > best_v
+        np.copyto(best_v, v, where=better)
+        np.copyto(best, z, where=better[:, None])
+        return target is not None and bool(best_v.max() >= target)
+
+    avg = x.copy()
+    window_start = 1
+    next_check = 16
+    for t in range(1, steps + 1):
+        received, rates, vals = evaluate(x)
+        if keep(x, vals):
+            return best_v, best, t
+        # Each row follows the branches of its own minimizing objective.
+        mine = owner == vals.argmin(axis=1)[:, None]
+        g = fused._follow(received, np.where(mine[:, :, None], rates, np.inf))
+        x = project(x + (scale / math.sqrt(t)) * g / p)
+        avg += (x - avg) / (t - window_start + 1)
+        if t == next_check:
+            if keep(avg, evaluate(avg)[2]):
+                return best_v, best, t
+            if t >= 4 * window_start:
+                window_start = t
+                avg = x.copy()
+            next_check *= 2
+    return best_v, best, steps
+
+
 def maximize_min_concave(
     process: FadingProcess,
     objectives,
@@ -501,15 +568,12 @@ def maximize_min_concave(
     tol: float = 1e-6,
     *,
     max_iters: int = 50000,
-    polish: bool = True,
     target_value: float | None = None,
-    extra_starts: Sequence[PowerPolicy] = (),
 ) -> OptimizerReport:
     """Maximize min_i f_i(P) over feasible policies, f_i concave.
 
-    Projected supergradient ascent in the probability-weighted metric
-    with step c/sqrt(t), doubling-window iterate averaging, and
-    best-candidate tracking, followed by an epigraph SLSQP polish.
+    Projected supergradient ascent (_ascend) from the uniform policy at
+    full budget, followed by an epigraph SLSQP polish.
     ``target_value`` stops the search early once the best value is
     within 6e-4 of the target (used by callers that only need to know
     whether the optimum exceeds a threshold).  Concavity of each
@@ -523,66 +587,18 @@ def maximize_min_concave(
     p = process.prob_array
     n = process.n_states
     b1, b2 = budget.p1_bar, budget.p2_bar
-
-    def min_value(x1, x2):
-        return min(o.value(x1, x2) for o in objs)
-
-    starts: list[tuple[np.ndarray, np.ndarray]] = [(np.full(n, b1), np.full(n, b2))]
-    for pol in extra_starts:
-        a1, a2 = pol.arrays
-        starts.append((a1.copy(), a2.copy()))
-
-    best_val = -math.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    iterations = 0
-    step_scale = max(b1, b2, 1e-3)
-    per_start = max(max_iters // len(starts), 1)
-    reached_target = False
-
-    for s1, s2 in starts:
-        x1 = _project_capped(np.asarray(s1, dtype=float), p, b1)
-        x2 = _project_capped(np.asarray(s2, dtype=float), p, b2)
-        avg1, avg2 = x1.copy(), x2.copy()
-        window_start = 1
-        next_check = 16
-        for t in range(1, per_start + 1):
-            iterations += 1
-            vals = [o.value(x1, x2) for o in objs]
-            i_min = int(np.argmin(vals))
-            val = vals[i_min]
-            if val > best_val:
-                best_val = val
-                best = (x1.copy(), x2.copy())
-            if target_value is not None and best_val >= target_value - 6e-4:
-                reached_target = True
-                break
-            g1, g2 = objs[i_min].gradient(x1, x2)
-            eta = step_scale / math.sqrt(t)
-            x1 = _project_capped(x1 + eta * g1 / p, p, b1)
-            x2 = _project_capped(x2 + eta * g2 / p, p, b2)
-            span = t - window_start + 1
-            avg1 += (x1 - avg1) / span
-            avg2 += (x2 - avg2) / span
-            if t == next_check:
-                v = min_value(avg1, avg2)
-                if v > best_val:
-                    best_val = v
-                    best = (avg1.copy(), avg2.copy())
-                    if target_value is not None and best_val >= target_value - 6e-4:
-                        reached_target = True
-                        break
-                if t >= 4 * window_start:
-                    window_start = t
-                    avg1, avg2 = x1.copy(), x2.copy()
-                next_check *= 2
-        if reached_target:
-            break
-
-    assert best is not None
-    if polish and n <= 400 and not reached_target:
+    target = None if target_value is None else target_value - 6e-4
+    caps = np.array([[b1], [b2]])
+    vals, points, iterations = _ascend(
+        objs, np.array([[np.full(n, b1)], [np.full(n, b2)]]),
+        lambda x: _project_capped(x, p, caps), p, budget, max(max_iters, 1), target,
+    )
+    best_val = float(vals[0])
+    best = tuple(points[:, 0])
+    if n <= 400 and not (target is not None and best_val >= target):
         out = _epigraph_polish(p, objs, b1, b2, best[0], best[1])
         if out is not None:
-            v = min_value(out[0], out[1])
+            v = min(o.value(*out) for o in objs)
             if v > best_val:
                 best_val = v
                 best = out

@@ -300,8 +300,8 @@ def _blend_candidate(
         nu = 0.5 * (lo + hi)
         mixed = RateObjective(
             p,
-            [(w * (1.0 - nu), a, b) for w, a, b in obj_a.terms]
-            + [(w * nu, a, b) for w, a, b in obj_b.terms],
+            [(w * (1.0 - nu), *c) for w, *c in zip(obj_a.weights[0], *obj_a.coef[:, 0])]
+            + [(w * nu, *c) for w, *c in zip(obj_b.weights[0], *obj_b.coef[:, 0])],
         )
         out = _slsqp_polish(
             p,
@@ -329,7 +329,7 @@ def _blend_candidate(
         # The blend maximizer jumped across the equality, or SLSQP failed;
         # go at the equality directly as a two-objective max-min.
         rep = maximize_min_concave(
-            process, [obj_a, obj_b], budget, 1e-6, max_iters=3000, polish=True
+            process, [obj_a, obj_b], budget, 1e-6, max_iters=3000
         )
         a1, a2 = rep.policy.arrays
         d = abs(obj_b.value(a1, a2) - obj_a.value(a1, a2))
@@ -446,7 +446,6 @@ def _sum_capacity_engine(
             budget,
             tol,
             max_iters=3000,
-            polish=True,
         )
         return rep.policy.arrays
 
@@ -523,7 +522,6 @@ def _sum_capacity_engine(
             budget,
             tol,
             max_iters=3500,
-            polish=True,
             target_value=value + 1.6e-3,
         )
         if rep.value > value + 1e-3:
@@ -554,7 +552,7 @@ def _sum_capacity_engine(
 
     # Nothing accepted cleanly; maximize the polytope directly and label
     # the result at progressively looser equality tolerance.
-    rep = maximize_min_concave(process, polytope, budget, tol, max_iters=20000, polish=True)
+    rep = maximize_min_concave(process, polytope, budget, tol, max_iters=20000)
     x1, x2 = rep.policy.arrays
     value = polytope_value(x1, x2)
     r = rates_of(x1, x2)
@@ -652,7 +650,7 @@ def region_boundary(
     rows: list[tuple[WeightPair, float, float]] = []
     for wp in ordered:
         objs = _boundary_objectives(process, wp)
-        rep = maximize_min_concave(process, objs, budget, 1e-6, max_iters=8000, polish=True)
+        rep = maximize_min_concave(process, objs, budget, 1e-6, max_iters=8000)
         if not rep.converged and rep.kkt_residual > 1e-3:
             raise ConvergenceError(
                 f"boundary point at weights ({wp.mu1:g}, {wp.mu2:g}) did not converge "

@@ -13,10 +13,13 @@ and time-duplexing baselines cover achievability on one-sided hybrids.
 
 Several objectives here are not concave (dividing by interference
 terms introduces convex pieces), so those maximizers run a fixed
-battery of deterministic starts through projected ascent, refine the
-winner with an SLSQP epigraph solve, and for small state counts sweep
-a budget-face grid; returned values are certified by KKT residuals or
-by the grid itself.
+battery of deterministic starts as the rows of one projected ascent
+(allocate._ascend), refine each row's best point with an SLSQP
+epigraph solve, and for small state counts sweep budget faces with one
+refining grid (_face_grid): both budget faces for the min-of-rates
+searches, the P2 face for the treat-as-noise sum capacity, and the two
+faces times each weak state's private fraction for rate splitting.
+Returned values are certified by KKT residuals or by the grid itself.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .channel import (
     PreconditionError,
 )
 from .allocate import (
-    LN2,
     PerStateMinRate,
     RateObjective,
+    _ascend,
     _epigraph_polish,
     _erate,
     _project_capped,
@@ -273,91 +276,51 @@ def _face_points(probs: np.ndarray, cap: float, m: int, lo=None, hi=None) -> np.
     return np.concatenate([mesh, last[:, None]], axis=1)
 
 
-def _batch_min_value(objectives, X1: np.ndarray, X2: np.ndarray, probs: np.ndarray):
-    """min over objectives of their fading-averaged value, per batch row.
+# Product points evaluated per call of a grid's evaluate, to bound memory.
+_GRID_CHUNK = 16384
 
-    Per-state-minimum objectives average their pointwise branch minimum
-    instead of a plain term sum.
+
+def _face_grid(faces, evaluate, floor: int):
+    """Maximize evaluate over a product of budget faces, refined twice.
+
+    Each face is (probs, cap, m): the points x >= 0 with probs @ x = cap,
+    gridded with m points per free coordinate (_face_points).  After
+    each of the three passes every face's window closes to one coarse
+    cell, (cap / min probs) / (m - 1), on each side of the best point so
+    far, and m halves, but not below ``floor``.  evaluate(*points) takes
+    one (K, n_j) array per face and returns K values.  Returns the best
+    value and the best point of each face.
     """
-    total = None
-    for obj in objectives:
-        if hasattr(obj, "branches"):
-            per_state = None
-            for rows in obj.branches:
-                acc = np.zeros_like(X1)
-                for w, a, b in rows:
-                    acc += w * np.log1p(X1 * a + X2 * b)
-                per_state = acc if per_state is None else np.minimum(per_state, acc)
-            vals = (per_state @ probs) / LN2
-        else:
-            acc = np.zeros(X1.shape[0])
-            for w, a, b in obj.terms:
-                acc += w * (np.log1p(X1 * a + X2 * b) @ probs)
-            vals = acc / LN2
-        total = vals if total is None else np.minimum(total, vals)
-    return total
-
-
-def _grid_minimax(process, budget, objectives, m_coarse: int, refines: int = 2):
-    """Budget-face grid sweep of min(objectives); None when too large.
-
-    Valid only when every objective is nondecreasing in each power, so
-    an optimum exists with both budgets spent.
-    """
-    p = process.prob_array
-    n = process.n_states
-    if (n - 1) * 2 > 4:
-        return None
-    b1, b2 = budget.p1_bar, budget.p2_bar
-    lo1 = hi1 = lo2 = hi2 = None
-    best = (-np.inf, None, None)
-    m = m_coarse
-    for _ in range(refines + 1):
-        F1 = _face_points(p, b1, m, lo1, hi1)
-        F2 = _face_points(p, b2, m, lo2, hi2)
-        X1 = np.repeat(F1, F2.shape[0], axis=0)
-        X2 = np.tile(F2, (F1.shape[0], 1))
-        vals = _batch_min_value(objectives, X1, X2, p)
-        i = int(np.argmax(vals))
-        if vals[i] > best[0]:
-            best = (float(vals[i]), X1[i].copy(), X2[i].copy())
-        if n == 1:
-            break
-        c1, c2 = best[1], best[2]
-        span1 = (b1 / np.minimum.reduce(p)) / max(m - 1, 1)
-        span2 = (b2 / np.minimum.reduce(p)) / max(m - 1, 1)
-        lo1, hi1 = c1[:-1] - span1, c1[:-1] + span1
-        lo2, hi2 = c2[:-1] - span2, c2[:-1] + span2
-        m = max(9, m // 2 + 1)
-    return best
+    best_v, best = -np.inf, None
+    windows = [(None, None)] * len(faces)
+    counts = [m for _, _, m in faces]
+    for _ in range(3):
+        grids = [
+            _face_points(probs, cap, m, lo, hi)
+            for (probs, cap, _), m, (lo, hi) in zip(faces, counts, windows)
+        ]
+        sizes = [g.shape[0] for g in grids]
+        total = math.prod(sizes)
+        for start in range(0, total, _GRID_CHUNK):
+            idx = np.unravel_index(np.arange(start, min(start + _GRID_CHUNK, total)), sizes)
+            vals = evaluate(*(g[i] for g, i in zip(grids, idx)))
+            i = int(np.argmax(vals))
+            if vals[i] > best_v:
+                best_v, best = float(vals[i]), [g[k[i]] for g, k in zip(grids, idx)]
+        windows = []
+        for (probs, cap, _), m, c in zip(faces, counts, best):
+            span = (cap / probs.min()) / max(m - 1, 1)
+            windows.append((c[:-1] - span, c[:-1] + span))
+        counts = [max(floor, m // 2 + 1) for m in counts]
+    return best_v, best
 
 
 _ASCENT_ITERS = 400
 
 
-def _projected_ascent(process, budget, objectives, x1, x2, iters=_ASCENT_ITERS):
-    """Diminishing-step supergradient ascent on min(objectives)."""
-    p = process.prob_array
-    b1, b2 = budget.p1_bar, budget.p2_bar
-    x1 = x1.copy()
-    x2 = x2.copy()
-    best = (-np.inf, x1.copy(), x2.copy())
-    scale = max(b1, b2, 1e-3)
-    for t in range(1, iters + 1):
-        vals = [o.value(x1, x2) for o in objectives]
-        i = int(np.argmin(vals))
-        v = vals[i]
-        if v > best[0]:
-            best = (v, x1.copy(), x2.copy())
-        g1, g2 = objectives[i].gradient(x1, x2)
-        eta = scale / math.sqrt(t)
-        x1 = _project_capped(x1 + eta * g1 / p, p, b1)
-        x2 = _project_capped(x2 + eta * g2 / p, p, b2)
-    return best
-
-
-def _deterministic_starts(process, budget):
-    """Eight fixed start policies: uniform, per-link waterfilling, mixes."""
+def _deterministic_starts(process, budget) -> np.ndarray:
+    """Eight fixed start policies, shape (2, 8, n) as _ascend takes them:
+    uniform, per-link waterfilling, mixes."""
     g11, _, _, g22 = process.gain_arrays
     p = process.prob_array
     n = process.n_states
@@ -366,23 +329,29 @@ def _deterministic_starts(process, budget):
     u2 = np.full(n, b2)
     w1, _ = _waterfill_powers(g11, p, b1)
     w2, _ = _waterfill_powers(g22, p, b2)
-    return [
-        (u1, u2),
-        (w1, w2),
-        (w1, u2),
-        (u1, w2),
-        (u1, 0.5 * u2),
-        (w1, 0.5 * u2),
-        (u1, np.zeros(n)),
-        (w1, np.zeros(n)),
-    ]
+    zero = np.zeros(n)
+    return np.array([
+        [u1, w1, w1, u1, u1, w1, u1, w1],
+        [u2, w2, u2, w2, 0.5 * u2, 0.5 * u2, zero, zero],
+    ])
 
 
-def _minimax_driver(process, budget, objectives, m_coarse=33):
+def _multistart_ascent(process, budget, objectives):
+    """_ascend on min(objectives) from the eight deterministic starts."""
+    p = process.prob_array
+    caps = np.array([[budget.p1_bar], [budget.p2_bar]])
+    vals, points, _ = _ascend(
+        objectives, _deterministic_starts(process, budget),
+        lambda x: _project_capped(x, p, caps), p, budget, _ASCENT_ITERS,
+    )
+    return vals, points
+
+
+def _minimax_driver(process, budget, objectives):
     """Shared search for min-of-smooth-rate objectives that need not be concave.
 
     Multistart projected ascent, SLSQP epigraph polish of every start's
-    endpoint, and a budget-face grid for small state counts; returns
+    best point, and a budget-face grid for up to three states; returns
     (value, x1, x2) for the best candidate found.
     """
     p = process.prob_array
@@ -392,8 +361,9 @@ def _minimax_driver(process, budget, objectives, m_coarse=33):
         return min(o.value(x1, x2) for o in objectives)
 
     best = (-np.inf, np.zeros_like(p), np.zeros_like(p))
-    for s1, s2 in _deterministic_starts(process, budget):
-        v, x1, x2 = _projected_ascent(process, budget, objectives, s1, s2)
+    vals, points = _multistart_ascent(process, budget, objectives)
+    for v, x1, x2 in zip(vals, *points):
+        v = float(v)
         out = _epigraph_polish(p, objectives, b1, b2, x1, x2)
         if out is not None:
             vp = value_at(*out)
@@ -401,14 +371,20 @@ def _minimax_driver(process, budget, objectives, m_coarse=33):
                 v, (x1, x2) = vp, out
         if v > best[0]:
             best = (v, x1, x2)
-    grid = _grid_minimax(process, budget, objectives, m_coarse)
-    if grid is not None and grid[0] > best[0]:
-        gx1, gx2 = grid[1], grid[2]
-        out = _epigraph_polish(p, objectives, b1, b2, gx1, gx2)
-        if out is not None and value_at(*out) > grid[0]:
-            best = (value_at(*out), *out)
-        else:
-            best = grid
+    if process.n_states <= 3:
+        # Valid because every objective here is nondecreasing in each
+        # power, so an optimum spends both budgets.
+        grid_v, (gx1, gx2) = _face_grid(
+            [(p, b1, 33), (p, b2, 33)],
+            lambda X1, X2: np.min([o.value(X1, X2) for o in objectives], axis=0),
+            floor=9,
+        )
+        if grid_v > best[0]:
+            out = _epigraph_polish(p, objectives, b1, b2, gx1, gx2)
+            if out is not None and value_at(*out) > grid_v:
+                best = (value_at(*out), *out)
+            else:
+                best = (grid_v, gx1, gx2)
     return best
 
 
@@ -452,29 +428,20 @@ def uw1_sum_capacity(
         p, [(1.0, g11, g12), (-1.0, zero, g12), (1.0, zero, g22)]
     )
 
-    def value_for_p2(X2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        eff = g11 / (1.0 + g12 * X2)
-        X1, _ = _waterfill_powers(eff, p, b1)
-        vals = (np.log1p(eff * X1) @ p + np.log1p(g22 * X2) @ p) / LN2
-        return vals, X1
+    def waterfill_p1(X2: np.ndarray) -> np.ndarray:
+        return _waterfill_powers(g11 / (1.0 + g12 * X2), p, b1)[0]
 
     # The objective strictly increases in every power for weak states,
     # so both budgets bind and the P2 face is exhaustive.
     best_v, best_x1, best_x2 = _minimax_driver(process, budget, [objective])
     if n <= 4:
-        lo = hi = None
-        m = 17 if n == 4 else 33
-        for _ in range(3):
-            F2 = _face_points(p, b2, m, lo, hi)
-            vals, X1 = value_for_p2(F2)
-            i = int(np.argmax(vals))
-            if vals[i] > best_v:
-                best_v, best_x1, best_x2 = float(vals[i]), X1[i].copy(), F2[i].copy()
-            if n == 1:
-                break
-            span = (b2 / np.minimum.reduce(p)) / max(m - 1, 1)
-            lo, hi = F2[i][:-1] - span, F2[i][:-1] + span
-            m = max(11, m // 2 + 1)
+        grid_v, (gx2,) = _face_grid(
+            [(p, b2, 17 if n == 4 else 33)],
+            lambda X2: objective.value(waterfill_p1(X2), X2),
+            floor=11,
+        )
+        if grid_v > best_v:
+            best_v, best_x1, best_x2 = grid_v, waterfill_p1(gx2), gx2
     out = _epigraph_polish(p, [objective], b1, b2, best_x1, best_x2)
     if out is not None and objective.value(*out) > best_v:
         best_v, (best_x1, best_x2) = objective.value(*out), out
@@ -587,27 +554,19 @@ def hk_region_bounds(
     return r1_cap, r2_cap_direct, r2_cap_split, sum_cap
 
 
-def _hk_values(g11, g12, g22, p, x1, x2, q):
-    s1 = (np.log1p(g11 * x1 + g12 * q) @ p - np.log1p(g12 * q) @ p
-          + np.log1p(g22 * x2) @ p) / LN2
-    s2 = (np.log1p(g22 * q) @ p + np.log1p(g11 * x1 + g12 * x2) @ p
-          - np.log1p(g12 * q) @ p) / LN2
+def _hk_rates(process: FadingProcess) -> tuple[RateObjective, RateObjective]:
+    """S1 and S2 as objectives over (P1, P2, q), q user 2's private power."""
+    g11, g12, _, g22 = process.gain_arrays
+    zero = np.zeros(process.n_states)
+    s1 = RateObjective(
+        process.prob_array,
+        [(1.0, g11, zero, g12), (-1.0, zero, zero, g12), (1.0, zero, g22, zero)],
+    )
+    s2 = RateObjective(
+        process.prob_array,
+        [(1.0, zero, zero, g22), (1.0, g11, g12, zero), (-1.0, zero, zero, g12)],
+    )
     return s1, s2
-
-
-def _hk_gradients(g11, g12, g22, p, x1, x2, q, which: int):
-    d1 = 1.0 + g11 * x1 + g12 * q
-    dq = 1.0 + g12 * q
-    if which == 1:
-        gx1 = p * g11 / d1
-        gx2 = p * g22 / (1.0 + g22 * x2)
-        gq = p * g12 / d1 - p * g12 / dq
-    else:
-        d2 = 1.0 + g11 * x1 + g12 * x2
-        gx1 = p * g11 / d2
-        gx2 = p * g12 / d2
-        gq = p * g22 / (1.0 + g22 * q) - p * g12 / dq
-    return gx1 / LN2, gx2 / LN2, gq / LN2
 
 
 def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
@@ -617,7 +576,7 @@ def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
     The metric is the p-weighted one in which the ascent steps grad/p
     are taken, so a binding budget shifts y2 uniformly (as in
     _project_capped) before the per-state wedge projection; the shift is
-    found by bisection.
+    found by bisection, for each row of y2 and yq, shape (n,) or (m, n).
     """
 
     def wedge(a, b):
@@ -632,20 +591,19 @@ def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
     # A state without private power projects onto the half-line q = 0.
     yq = np.where(free_q, yq, 0.0)
     u, v = wedge(y2, yq)
-    if probs @ u <= cap + 1e-15:
+    over = u @ probs > cap + 1e-15
+    if not over.any():
         return u, v
     # The on-line region takes u = (a + b)/2, so theta must absorb yq too.
-    lo = 0.0
-    hi = float(np.max(np.abs(y2)) + np.max(np.abs(yq)) + 1.0)
+    lo = np.zeros(over.shape)
+    hi = np.max(np.abs(y2), axis=-1) + np.max(np.abs(yq), axis=-1) + 1.0
     for _ in range(90):
         th = 0.5 * (lo + hi)
-        u, v = wedge(y2 - th, yq)
-        if probs @ u > cap:
-            lo = th
-        else:
-            hi = th
-    u, v = wedge(y2 - hi, yq)
-    return u, v
+        spend = wedge(y2 - th[..., None], yq)[0] @ probs
+        lo = np.where(spend > cap, th, lo)
+        hi = np.where(spend > cap, hi, th)
+    u_cut, v_cut = wedge(y2 - hi[..., None], yq)
+    return np.where(over[..., None], u_cut, u), np.where(over[..., None], v_cut, v)
 
 
 def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -654,11 +612,11 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
     p = process.prob_array
     n = process.n_states
     b1, b2 = budget.p1_bar, budget.p2_bar
-    strong = g12 >= g22
-    free_q = ~strong
+    free_q = ~(g12 >= g22)
+    rates = _hk_rates(process)
 
     def value(x1, x2, q):
-        return min(_hk_values(g11, g12, g22, p, x1, x2, q))
+        return min(o.value(x1, x2, q) for o in rates)
 
     best = (-np.inf, np.zeros(n), np.zeros(n), np.zeros(n))
 
@@ -668,16 +626,12 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
         if v > best[0]:
             best = (v, x1.copy(), x2.copy(), q.copy())
 
-    def rate_row(which):
+    def rate_row(obj):
         def val(z):
-            s1, s2 = _hk_values(g11, g12, g22, p, z[:n], z[n:2*n], z[2*n:3*n])
-            return (s1 if which == 1 else s2) - z[-1]
+            return obj.value(z[:n], z[n:2*n], z[2*n:3*n]) - z[-1]
 
         def jac(z):
-            gx1, gx2, gq = _hk_gradients(
-                g11, g12, g22, p, z[:n], z[n:2*n], z[2*n:3*n], which
-            )
-            return np.concatenate([gx1, gx2, gq, [-1.0]])
+            return np.concatenate([*obj.gradient(z[:n], z[n:2*n], z[2*n:3*n]), [-1.0]])
 
         return {"type": "ineq", "fun": val, "jac": jac}
 
@@ -688,8 +642,7 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
     wjac[np.arange(n), n + np.arange(n)] = 1.0
     wjac[np.arange(n), 2 * n + np.arange(n)] = -1.0
     rows = [
-        rate_row(1),
-        rate_row(2),
+        *(rate_row(obj) for obj in rates),
         {"type": "ineq", "fun": lambda z: z[n:2*n] - z[2*n:3*n], "jac": lambda z: wjac},
     ]
     extra_bounds = [(0.0, None) if free else (0.0, 0.0) for free in free_q]
@@ -705,65 +658,38 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
             x1n, x2n, extra = out
             consider(x1n, x2n, np.clip(np.where(free_q, extra[:n], 0.0), 0.0, x2n))
 
-    def ascend(x1, x2, q, iters=_ASCENT_ITERS):
-        x1, x2, q = x1.copy(), x2.copy(), q.copy()
-        scale = max(b1, b2, 1e-3)
-        for t in range(1, iters + 1):
-            s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, q)
-            which = 1 if s1 <= s2 else 2
-            consider(x1, x2, q)
-            gx1, gx2, gq = _hk_gradients(g11, g12, g22, p, x1, x2, q, which)
-            eta = scale / math.sqrt(t)
-            x1 = _project_capped(x1 + eta * gx1 / p, p, b1)
-            x2, q = _project_wedge(x2 + eta * gx2 / p, q + eta * gq / p, free_q, p, b2)
-        return x1, x2, q
+    def project(x):
+        x2, q = _project_wedge(x[1], x[2], free_q, p, b2)
+        return np.array([_project_capped(x[0], p, b1), x2, q])
 
-    for s1p, s2p in _deterministic_starts(process, budget)[:4]:
-        for frac in (1.0, 0.5):
-            q0 = np.where(free_q, frac * s2p, 0.0)
-            x1, x2, q = ascend(s1p, s2p, q0)
-            polish(x1, x2, q)
-            consider(x1, x2, q)
+    # The first four policy starts, each at full and at half private power.
+    starts = np.repeat(_deterministic_starts(process, budget)[:, :4], 2, axis=1)
+    q0 = np.where(free_q, np.tile([1.0, 0.5], 4)[:, None] * starts[1], 0.0)
+    _, points, _ = _ascend(
+        rates, np.concatenate([starts, q0[None]]), project, p, budget, _ASCENT_ITERS
+    )
+    for x1, x2, q in zip(*points):
+        consider(x1, x2, q)
+        polish(x1, x2, q)
     if n <= 2:
         # Exhaustive sweep: budget faces for the powers (both sum rates
-        # increase in every power), private power as a fraction.
-        n_free = int(free_q.sum())
-        lo1 = hi1 = lo2 = hi2 = None
-        m = 21
-        fr_axes = [np.linspace(0.0, 1.0, 11)] * n_free
-        for _ in range(3):
-            F1 = _face_points(p, b1, m, lo1, hi1)
-            F2 = _face_points(p, b2, m, lo2, hi2)
-            combos = [
-                np.stack(g, axis=-1).reshape(-1, n_free)
-                for g in [np.meshgrid(*fr_axes, indexing="ij")]
-            ][0] if n_free else np.zeros((1, 0))
-            X1 = np.repeat(np.repeat(F1, F2.shape[0], 0), combos.shape[0], 0)
-            X2 = np.tile(np.repeat(F2, combos.shape[0], 0), (F1.shape[0], 1))
-            FR = np.tile(combos, (F1.shape[0] * F2.shape[0], 1))
+        # increase in every power), and for each weak state its private
+        # fraction as the face (alpha, 1 - alpha) of unit probabilities.
+        free = np.flatnonzero(free_q)
+
+        def evaluate(X1, X2, *fractions):
             Q = np.zeros_like(X2)
-            if n_free:
-                Q[:, free_q] = FR * X2[:, free_q]
-            vals = np.minimum(*_hk_values(g11, g12, g22, p, X1, X2, Q))
-            i = int(np.argmax(vals))
-            consider(X1[i], X2[i], Q[i])
-            if n == 1 and n_free == 0:
-                break
-            c1, c2 = best[1], best[2]
-            span1 = (b1 / np.min(p)) / max(m - 1, 1)
-            span2 = (b2 / np.min(p)) / max(m - 1, 1)
-            if n > 1:
-                lo1, hi1 = c1[:-1] - span1, c1[:-1] + span1
-                lo2, hi2 = c2[:-1] - span2, c2[:-1] + span2
-            if n_free:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    fbest = np.where(best[2][free_q] > 0,
-                                     best[3][free_q] / best[2][free_q], 0.0)
-                fr_axes = [
-                    np.linspace(max(0.0, f - 1.5 / m), min(1.0, f + 1.5 / m), 9)
-                    for f in np.atleast_1d(fbest)
-                ]
-            m = max(9, m // 2 + 1)
+            for j, f in zip(free, fractions):
+                Q[:, j] = f[:, 0] * X2[:, j]
+            return np.minimum(*(o.value(X1, X2, Q) for o in rates))
+
+        _, (gx1, gx2, *fractions) = _face_grid(
+            [(p, b1, 21), (p, b2, 21)] + [(np.ones(2), 1.0, 11)] * free.size, evaluate, floor=9
+        )
+        q = np.zeros(n)
+        for j, f in zip(free, fractions):
+            q[j] = f[0] * gx2[j]
+        consider(gx1, gx2, q)
         polish(best[1], best[2], best[3])
     if not np.isfinite(best[0]):
         raise ConvergenceError("rate-splitting search found no finite candidate")
@@ -799,18 +725,18 @@ def hk_optimize(
     n = process.n_states
     strong = g12 >= g22
     zeros = np.zeros(n)
+    rates = _hk_rates(process)
 
     if evs_condition(process, budget).holds:
         x1, _ = _waterfill_powers(g11, p, budget.p1_bar)
         x2, _ = _waterfill_powers(g22, p, budget.p2_bar)
-        s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, zeros)
+        s1, s2 = (o.value(x1, x2, zeros) for o in rates)
         if s1 < s2:
             alloc = HkAllocation(PowerPolicy.from_arrays(x1, x2), (0.0,) * n)
             return s1, alloc, MinimaxCase.Case1_S1smaller
     if bool(strong.all()):
         value, policy = us_sum_capacity(process, budget)
-        x1, x2 = policy.arrays
-        s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, zeros)
+        s1, s2 = (o.value(*policy.arrays, zeros) for o in rates)
         return value, HkAllocation(policy, (0.0,) * n), _minimax_case(s1, s2)
     if not bool(strong.any()):
         value, policy = uw1_sum_capacity(process, budget)
@@ -820,7 +746,7 @@ def hk_optimize(
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha = np.where(x2 > 0, q / np.where(x2 > 0, x2, 1.0), 0.0)
     alpha = np.clip(np.where(strong, 0.0, alpha), 0.0, 1.0)
-    s1, s2 = _hk_values(g11, g12, g22, p, x1, x2, q)
+    s1, s2 = (o.value(x1, x2, q) for o in rates)
     alloc = HkAllocation(PowerPolicy.from_arrays(x1, x2), tuple(alpha))
     return value, alloc, _minimax_case(s1, s2)
 
@@ -854,31 +780,21 @@ def separable_one_sided_baseline(
     s2_rows = [(1.0, zero, g22 * alpha), (1.0, g11, g12), (-1.0, zero, ga)]
     objective = PerStateMinRate(p, [s1_rows, s2_rows])
 
-    def branch_rate(z, branch):
-        acc = np.zeros(n)
-        for w, a, b in branch:
-            acc += w * np.log1p(a * z[:n] + b * z[n : 2 * n])
-        return acc / LN2
+    def branch_row(rows):
+        rate = RateObjective(p, rows)
 
-    def branch_jac(z, branch):
-        out = np.zeros((n, 3 * n))
-        for w, a, b in branch:
-            den = (1.0 + a * z[:n] + b * z[n : 2 * n]) * LN2
-            out[np.arange(n), np.arange(n)] += w * a / den
-            out[np.arange(n), n + np.arange(n)] += w * b / den
-        out[np.arange(n), 2 * n + np.arange(n)] = -1.0
-        return out
+        def fun(z):
+            return rate.branch_values(z[:n], z[n : 2 * n])[0] - z[2 * n :]
+
+        def jac(z):
+            g1, g2 = rate.gradient(z[:n], z[n : 2 * n])
+            return np.hstack([np.diag(g1 / p), np.diag(g2 / p), -np.eye(n)])
+
+        return {"type": "ineq", "fun": fun, "jac": jac}
 
     # Per-state epigraph SLSQP over (P1, P2, t): maximize E[t_h] with each
     # t_h under every branch rate of its state.
-    rows = [
-        {
-            "type": "ineq",
-            "fun": lambda z, br=branch: branch_rate(z, br) - z[2 * n :],
-            "jac": lambda z, br=branch: branch_jac(z, br),
-        }
-        for branch in objective.branches
-    ]
+    rows = [branch_row(s1_rows), branch_row(s2_rows)]
     grad = np.concatenate([np.zeros(2 * n), -p])
 
     def polish(x1, x2):
@@ -889,23 +805,23 @@ def separable_one_sided_baseline(
         )
         return None if out is None else out[:2]
 
-    best = (-np.inf, np.zeros(n), np.zeros(n))
-    for s1p, s2p in _deterministic_starts(process, budget):
-        v, x1, x2 = _projected_ascent(process, budget, [objective], s1p, s2p)
-        if v > best[0]:
-            best = (v, x1, x2)
+    vals, points = _multistart_ascent(process, budget, [objective])
+    i = int(np.argmax(vals))
+    best = (float(vals[i]), *points[:, i])
     if n <= 64:
         out = polish(best[1], best[2])
         if out is not None and objective.value(*out) > best[0]:
             best = (objective.value(*out), *out)
     if n <= 3:
-        grid = _grid_minimax(process, budget, [objective], 25)
-        if grid is not None and grid[0] > best[0]:
-            out = polish(grid[1], grid[2])
-            if out is not None and objective.value(*out) > grid[0]:
+        grid_v, (gx1, gx2) = _face_grid(
+            [(p, budget.p1_bar, 25), (p, budget.p2_bar, 25)], objective.value, floor=9
+        )
+        if grid_v > best[0]:
+            out = polish(gx1, gx2)
+            if out is not None and objective.value(*out) > grid_v:
                 best = (objective.value(*out), *out)
             else:
-                best = grid
+                best = (grid_v, gx1, gx2)
     policy = PowerPolicy.from_arrays(best[1], best[2])
     return best[0], HkAllocation(policy, tuple(alpha))
 

@@ -150,7 +150,7 @@ def mac_iterative_waterfill(process: FadingProcess, receiver: int, budget: Power
 
 
 def face_grid_max(objective, budget: PowerBudget, points: int = 61) -> float:
-    """Max of a RateObjective over a grid of the full-budget face, 1-2 states.
+    """Max of a one-branch RateObjective over a full-budget face grid, 1-2 states.
 
     Each state's power follows from the first state's power and the
     budget; a nonnegative-coefficient objective is nondecreasing in
@@ -169,7 +169,7 @@ def face_grid_max(objective, budget: PowerBudget, points: int = 61) -> float:
     else:
         raise NotImplementedError("face grid handles 1 or 2 states only")
     acc = 0.0
-    for w, a, b in objective.terms:
+    for w, a, b in zip(objective.weights[0], *objective.coef[:, 0]):
         acc = acc + w * (np.log1p(a * X1[:, None, :] + b * X2[None, :, :]) @ p)
     return float(acc.max()) / LN2
 

@@ -7,6 +7,7 @@ from fading_ifc.channel import PowerBudget, PowerPolicy, PreconditionError
 from fading_ifc.allocate import (
     PerStateMinRate,
     RateObjective,
+    _ascend,
     _project_capped,
     _waterfill_powers,
     dual_bound,
@@ -156,6 +157,63 @@ class TestPerStateMinRate:
         f1, f2 = central_diff_gradient(obj.value, x1, x2)
         np.testing.assert_allclose(g1, f1, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(g2, f2, rtol=1e-5, atol=1e-8)
+
+
+class TestBatchedObjectives:
+    @staticmethod
+    def objectives(rng, n):
+        def coef():
+            return rng.uniform(0.1, 4.0, n)
+
+        zero = np.zeros(n)
+        one_branch = RateObjective(
+            rng.dirichlet(np.ones(n)),
+            [(1.0, coef(), coef()), (-1.0, zero, coef()), (0.7, zero, coef())],
+        )
+        # branches of different lengths exercise the zero padding
+        per_state_min = PerStateMinRate(
+            rng.dirichlet(np.ones(n)),
+            [[(1.0, coef(), coef())], [(1.0, coef(), zero), (1.0, zero, coef())]],
+        )
+        return one_branch, per_state_min
+
+    def test_rows_equal_single_calls(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 8):
+            X1, X2 = rng.uniform(0.0, 3.0, (2, 6, n))
+            for obj in self.objectives(rng, n):
+                values = obj.value(X1, X2)
+                G1, G2 = obj.gradient(X1, X2)
+                assert values.shape == (6,) and G1.shape == G2.shape == (6, n)
+                for i in range(6):
+                    assert values[i] == pytest.approx(obj.value(X1[i], X2[i]), abs=1e-12)
+                    g1, g2 = obj.gradient(X1[i], X2[i])
+                    np.testing.assert_allclose(G1[i], g1, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(G2[i], g2, rtol=0, atol=1e-12)
+
+
+class TestAscend:
+    def test_each_row_matches_its_own_run(self):
+        rng = np.random.default_rng(23)
+        proc = channel([(1, 0.3, 0.2, 2), (3, 1.0, 0.4, 1), (0.5, 2.0, 1.5, 0.8)],
+                       [0.2, 0.5, 0.3])
+        p = proc.prob_array
+        budget = PowerBudget(1.3, 0.7)
+        g11, g12, g21, g22 = proc.gain_arrays
+        objs = [RateObjective(p, [(1.0, g11, g12)]), RateObjective(p, [(1.0, g21, g22)])]
+        starts = rng.uniform(0.0, 2.0, (2, 5, 3))
+
+        def project(x):
+            return _project_capped(x, p, np.array([[budget.p1_bar], [budget.p2_bar]]))
+
+        values, points, steps = _ascend(objs, starts, project, p, budget, 300)
+        assert steps == 300
+        for i in range(5):
+            alone_v, alone_x, _ = _ascend(objs, starts[:, i : i + 1], project, p, budget, 300)
+            assert values[i] == pytest.approx(alone_v[0], abs=1e-12)
+            np.testing.assert_allclose(points[:, i], alone_x[:, 0], rtol=0, atol=1e-12)
+            x1, x2 = points[:, i]
+            assert min(o.value(x1, x2) for o in objs) == pytest.approx(values[i], abs=1e-12)
 
 
 class TestProjectCapped:

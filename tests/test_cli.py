@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: JSON/CSV output, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+import fading_ifc
+
+# The CLI runs in a child process, which sees the package wherever this
+# process found it, installed or not.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fading_ifc.__file__)))
 
 EVS_DOC = {
     "states": [{"g11": 1.0, "g12": 4.0, "g21": 4.0, "g22": 1.0, "p": 1.0}],
@@ -35,11 +42,13 @@ BAD_DOC = {
 
 
 def run_cli(*args, timeout=300):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "fading_ifc.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -13,7 +13,7 @@ from fading_ifc.channel import (
 from fading_ifc.allocate import _project_capped, _waterfill_powers, dual_bound, waterfill
 from fading_ifc.classify import StateLabel, classify_state
 from fading_ifc.cmac import _engine_objectives, sum_rate_fixed_policy
-from fading_ifc.ifc import HkAllocation, hk_sum_rates, tdm_baseline
+from fading_ifc.ifc import HkAllocation, _face_grid, hk_sum_rates, tdm_baseline
 
 from oracles import channel, face_grid_max, waterfill_bisect
 
@@ -110,6 +110,26 @@ def test_dual_bound_dominates_grid_maximum(states, first_prob, b1, b2, lam):
             continue
         best = face_grid_max(obj, budget)
         assert bound >= best - 1e-9 * (1.0 + abs(best))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    states=gain_tuples(n_max=2),
+    first_prob=st.floats(min_value=0.05, max_value=0.95),
+    b1=power,
+    b2=power,
+)
+def test_face_grid_reaches_the_oracle_grid(states, first_prob, b1, b2):
+    probs = [1.0] if len(states) == 1 else [first_prob, 1.0 - first_prob]
+    proc = channel(states, probs)
+    p = proc.prob_array
+    objs, _, _ = _engine_objectives(proc, True, True, True)
+    for obj in objs.values():
+        # 61 points per face, as in the oracle: the first pass holds every
+        # oracle point, and the refinements may only improve on it
+        best, (x1, x2) = _face_grid([(p, b1, 61), (p, b2, 61)], obj.value, floor=9)
+        assert best >= face_grid_max(obj, PowerBudget(b1, b2)) - 1e-6
+        assert abs(obj.value(x1, x2) - best) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
