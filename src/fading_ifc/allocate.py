@@ -143,11 +143,12 @@ def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> Waterf
     per-state powers P(g) = max(water_level - 1/g, 0), the water level,
     and the achieved rate E[log2(1 + g P(g))].
     """
-    pairs = [(float(g), float(q)) for g, q in gain_dist]
-    if not pairs:
+    table = np.array(list(gain_dist), dtype=float)
+    if table.size == 0:
         raise PreconditionError("gain_dist must be non-empty")
-    gains = np.array([g for g, _ in pairs], dtype=float)
-    probs = np.array([q for _, q in pairs], dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise PreconditionError("gain_dist must be a sequence of (gain, probability) pairs")
+    gains, probs = table.T.copy()
     if (gains < 0).any() or not np.isfinite(gains).all():
         raise PreconditionError("gains must be finite and >= 0")
     if (probs <= 0).any() or abs(float(probs.sum()) - 1.0) > 1e-6:
@@ -161,7 +162,7 @@ def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> Waterf
         raise PreconditionError("all gains are zero")
     powers, nu = _waterfill_powers(gains, probs, budget)
     rate = float(probs @ np.log2(1.0 + gains * powers))
-    policy = PowerPolicy(p1=tuple(powers), p2=(0.0,) * len(pairs))
+    policy = PowerPolicy.from_arrays(powers, np.zeros_like(powers))
     return WaterfillResult(policy=policy, water_level=float(nu), achieved_rate=rate)
 
 

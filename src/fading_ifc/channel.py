@@ -11,19 +11,30 @@ optimization) consumes these types.  Rates are in bits per channel use;
 ``shannon_bits`` is the scalar map snr -> log2(1 + snr) used throughout.
 Power policies map fading states to transmit powers and are feasible when
 each user's average power stays within its budget to ``POWER_TOL``.
+
+The types are array-native.  A FadingProcess stores one read-only (n, 4)
+gain array and one read-only (n,) probability array, validated in one
+vectorized pass, and builds FadingState objects only when a caller
+iterates its ``states``.  A PowerPolicy stores two read-only (n,) power
+arrays.  Neither the Rayleigh sampler nor the JSON reader builds a
+per-state object.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 POWER_TOL = 1e-9
+
+# Column order of FadingProcess.gains.
+GAIN_FIELDS = ("g11", "g12", "g21", "g22")
 
 
 class ChannelFormatError(ValueError):
@@ -36,6 +47,17 @@ class PreconditionError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solver exhausts its budget without meeting tolerance."""
+
+
+def _is_real(value) -> bool:
+    """An int or float, but not a bool (an int subclass that makes no sense as a number here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_number(obj, field: str) -> float:
+    if not _is_real(obj):
+        raise ChannelFormatError(f"{field} must be a number, got {obj!r}")
+    return float(obj)
 
 
 def shannon_bits(snr):
@@ -60,9 +82,9 @@ class FadingState:
     g22: float
 
     def __post_init__(self) -> None:
-        for name in ("g11", "g12", "g21", "g22"):
+        for name in GAIN_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_real(value):
                 raise ChannelFormatError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value) or value < 0.0:
                 raise ChannelFormatError(f"{name} must be finite and >= 0, got {value!r}")
@@ -72,53 +94,132 @@ class FadingState:
         return (self.g11, self.g12, self.g21, self.g22)
 
 
-@dataclass(frozen=True)
-class FadingProcess:
+class _Frozen:
+    """Attribute assignment raises, as on a frozen dataclass."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _check_gains(gains: np.ndarray) -> None:
+    """Name the first state and field whose gain is not finite and >= 0."""
+    bad = ~(np.isfinite(gains) & (gains >= 0.0))
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(GAIN_FIELDS))
+        raise ChannelFormatError(
+            f"states[{i}]: {GAIN_FIELDS[j]} must be finite and >= 0, got {float(gains[i, j])!r}"
+        )
+
+
+def _normalized_probs(probs: np.ndarray) -> np.ndarray:
+    """Check that probabilities are positive and sum to 1 within 1e-6; rescale exactly."""
+    bad = ~(np.isfinite(probs) & (probs > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ChannelFormatError(f"probs[{i}] must be finite and > 0, got {float(probs[i])!r}")
+    total = math.fsum(probs.tolist())
+    if abs(total - 1.0) > 1e-6:
+        raise ChannelFormatError(f"probabilities sum to {total:g}, expected 1 within 1e-6")
+    return probs / total
+
+
+class FadingProcess(_Frozen):
     """Finite-state fading process: states plus their probabilities.
 
     Probabilities must be positive and sum to 1 within 1e-6 (they are then
     renormalized exactly).  State order is preserved and meaningful: policies
     index states by position.
+
+    The process stores one read-only (n, 4) array ``gains`` with columns
+    (g11, g12, g21, g22) and one read-only (n,) array ``prob_array``.  The
+    constructor takes FadingState objects; ``from_arrays`` takes the arrays
+    directly.  ``states`` and ``probs`` are tuples derived on first use.
     """
 
-    states: tuple[FadingState, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.states) == 0:
+    def __init__(self, states: Sequence[FadingState], probs: Sequence[float]) -> None:
+        states, probs = tuple(states), tuple(probs)
+        if len(states) == 0:
             raise ChannelFormatError("states must be non-empty")
-        if len(self.states) != len(self.probs):
-            raise ChannelFormatError(
-                f"probs has {len(self.probs)} entries for {len(self.states)} states"
-            )
-        for i, p in enumerate(self.probs):
-            if not math.isfinite(p) or p <= 0.0:
-                raise ChannelFormatError(f"probs[{i}] must be finite and > 0, got {p!r}")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-6:
-            raise ChannelFormatError(f"probabilities sum to {total:g}, expected 1 within 1e-6")
-        object.__setattr__(self, "probs", tuple(p / total for p in self.probs))
+        if len(states) != len(probs):
+            raise ChannelFormatError(f"probs has {len(probs)} entries for {len(states)} states")
+        for i, s in enumerate(states):
+            if not isinstance(s, FadingState):
+                raise ChannelFormatError(f"states[{i}] must be a FadingState, got {s!r}")
+        probs = np.array([_require_number(p, f"probs[{i}]") for i, p in enumerate(probs)])
+        gains = np.array([s.as_tuple() for s in states], dtype=float)
+        self._own(gains, _normalized_probs(probs))
+        self.__dict__["states"] = states
+
+    @staticmethod
+    def from_arrays(gains, probs) -> "FadingProcess":
+        """Process from an (n, 4) gain array and an (n,) probability array.
+
+        Both are copied and validated in one vectorized pass; an error
+        names the first offending state and field.
+        """
+        try:
+            g = np.array(gains, dtype=float)
+            p = np.asarray(probs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ChannelFormatError(f"gains and probs must be numeric arrays: {exc}") from exc
+        if g.ndim != 2 or g.shape[1] != len(GAIN_FIELDS):
+            raise ChannelFormatError(f"gains must have shape (n, 4), got {g.shape}")
+        if g.shape[0] == 0:
+            raise ChannelFormatError("states must be non-empty")
+        if p.shape != (g.shape[0],):
+            raise ChannelFormatError(f"probs has shape {p.shape} for {g.shape[0]} states")
+        _check_gains(g)
+        return object.__new__(FadingProcess)._own(g, _normalized_probs(p))
+
+    def _own(self, gains: np.ndarray, probs: np.ndarray) -> "FadingProcess":
+        """Take already validated arrays as storage; they become read-only."""
+        gains.setflags(write=False)
+        probs.setflags(write=False)
+        self.__dict__.update(gains=gains, prob_array=probs)
+        return self
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def prob_array(self) -> np.ndarray:
-        return np.array(self.probs, dtype=float)
+        return self.prob_array.shape[0]
 
     @cached_property
     def gain_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-state gain vectors (g11, g12, g21, g22), each of shape (n_states,)."""
-        g = np.array([s.as_tuple() for s in self.states], dtype=float)
-        return g[:, 0], g[:, 1], g[:, 2], g[:, 3]
+        """Per-state gain vectors (g11, g12, g21, g22), read-only column views of ``gains``."""
+        return tuple(self.gains.T)
+
+    @cached_property
+    def states(self) -> tuple[FadingState, ...]:
+        return tuple(FadingState(*row) for row in self.gains.tolist())
+
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(self.prob_array.tolist())
 
     def swap_users(self) -> "FadingProcess":
-        """Mirror image with user indices 1 and 2 exchanged in every state."""
-        swapped = tuple(
-            FadingState(g11=s.g22, g12=s.g21, g21=s.g12, g22=s.g11) for s in self.states
+        """Mirror image with user indices 1 and 2 exchanged in every state.
+
+        Reversing the columns maps (g11, g12, g21, g22) to (g22, g21, g12, g11);
+        the probabilities are shared, not renormalized, so swapping twice
+        gives back an equal process.
+        """
+        return object.__new__(FadingProcess)._own(self.gains[:, ::-1].copy(), self.prob_array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FadingProcess):
+            return NotImplemented
+        return np.array_equal(self.gains, other.gains) and np.array_equal(
+            self.prob_array, other.prob_array
         )
-        return FadingProcess(states=swapped, probs=self.probs)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, so equal processes hash equally.
+        return hash(((self.gains + 0.0).tobytes(), self.prob_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"FadingProcess(n_states={self.n_states})"
 
 
 StateLike = FadingState | Sequence[float]
@@ -128,9 +229,10 @@ def make_discrete_channel(weighted_states: Iterable[tuple[StateLike, float]]) ->
     """Build a FadingProcess from (state, probability) pairs.
 
     States may be FadingState instances or (g11, g12, g21, g22) sequences.
-    Probabilities must sum to 1 within 1e-6.
+    Probabilities must sum to 1 within 1e-6.  Each entry's types are
+    checked as it is read; the values are then validated as one array.
     """
-    states: list[FadingState] = []
+    rows: list = []
     probs: list[float] = []
     for i, item in enumerate(weighted_states):
         try:
@@ -138,16 +240,18 @@ def make_discrete_channel(weighted_states: Iterable[tuple[StateLike, float]]) ->
         except (TypeError, ValueError) as exc:
             raise ChannelFormatError(f"entry {i} is not a (state, probability) pair") from exc
         if isinstance(raw_state, FadingState):
-            states.append(raw_state)
+            rows.append(raw_state.as_tuple())
         else:
             gains = tuple(raw_state)
-            if len(gains) != 4:
+            if len(gains) != len(GAIN_FIELDS):
                 raise ChannelFormatError(
                     f"entry {i}: state needs 4 gains (g11, g12, g21, g22), got {len(gains)}"
                 )
-            states.append(FadingState(*gains))
-        probs.append(float(prob))
-    return FadingProcess(states=tuple(states), probs=tuple(probs))
+            rows.append([_require_number(g, f"entry {i}: {k}") for k, g in zip(GAIN_FIELDS, gains)])
+        probs.append(_require_number(prob, f"entry {i}: probability"))
+    if not rows:
+        raise ChannelFormatError("states must be non-empty")
+    return FadingProcess.from_arrays(rows, probs)
 
 
 def sample_rayleigh_channel(
@@ -161,21 +265,21 @@ def sample_rayleigh_channel(
     Cross gains are i.i.d. exponential with mean ``sigma2`` (the squared
     magnitude of a complex Gaussian with variance sigma2 per link); direct
     gains are fixed at ``direct_gains``.  The same seed always yields the
-    same process.
+    same process: g12 is drawn first, then g21.
     """
     if not (sigma2 > 0) or not math.isfinite(sigma2):
         raise ChannelFormatError(f"sigma2 must be finite and > 0, got {sigma2!r}")
+    if not isinstance(n_samples, numbers.Integral) or isinstance(n_samples, bool):
+        raise ChannelFormatError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ChannelFormatError(f"n_samples must be >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
-    g12 = rng.exponential(scale=sigma2, size=n_samples)
-    g21 = rng.exponential(scale=sigma2, size=n_samples)
-    d1, d2 = float(direct_gains[0]), float(direct_gains[1])
-    prob = 1.0 / n_samples
-    states = tuple(
-        FadingState(g11=d1, g12=float(a), g21=float(b), g22=d2) for a, b in zip(g12, g21)
-    )
-    return FadingProcess(states=states, probs=(prob,) * n_samples)
+    gains = np.empty((n_samples, 4))
+    gains[:, 0] = float(direct_gains[0])
+    gains[:, 1] = rng.exponential(scale=sigma2, size=n_samples)
+    gains[:, 2] = rng.exponential(scale=sigma2, size=n_samples)
+    gains[:, 3] = float(direct_gains[1])
+    return FadingProcess.from_arrays(gains, np.full(n_samples, 1.0 / n_samples))
 
 
 @dataclass(frozen=True)
@@ -191,39 +295,61 @@ class PowerBudget:
     def __post_init__(self) -> None:
         for name in ("p1_bar", "p2_bar"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_real(value):
                 raise ChannelFormatError(f"budget {name} must be a real number, got {value!r}")
             if not math.isfinite(value) or value < 0.0:
                 raise ChannelFormatError(f"budget {name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))
 
 
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Per-state transmit powers for both users, indexed like the process states."""
+class PowerPolicy(_Frozen):
+    """Per-state transmit powers for both users, indexed like the process states.
 
-    p1: tuple[float, ...]
-    p2: tuple[float, ...]
+    The powers live in two read-only (n,) arrays, ``arrays``; the
+    constructor and ``from_arrays`` copy their inputs.  ``p1`` and ``p2``
+    are tuples derived on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.p1) != len(self.p2):
+    def __init__(self, p1, p2) -> None:
+        a1, a2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
+        if a1.ndim != 1 or a1.shape != a2.shape:
             raise ChannelFormatError(
-                f"policy arrays disagree: {len(self.p1)} vs {len(self.p2)} states"
+                f"policy arrays disagree: shapes {a1.shape} and {a2.shape}, expected (n,) and (n,)"
             )
-        object.__setattr__(self, "p1", tuple(float(x) for x in self.p1))
-        object.__setattr__(self, "p2", tuple(float(x) for x in self.p2))
+        a1.setflags(write=False)
+        a2.setflags(write=False)
+        self.__dict__["arrays"] = (a1, a2)
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.p1, dtype=float), np.array(self.p2, dtype=float)
+    def p1(self) -> tuple[float, ...]:
+        return tuple(self.arrays[0].tolist())
+
+    @cached_property
+    def p2(self) -> tuple[float, ...]:
+        return tuple(self.arrays[1].tolist())
 
     @staticmethod
     def from_arrays(p1: np.ndarray, p2: np.ndarray) -> "PowerPolicy":
-        return PowerPolicy(p1=tuple(np.asarray(p1, dtype=float)), p2=tuple(np.asarray(p2, dtype=float)))
+        return PowerPolicy(p1, p2)
 
     @staticmethod
     def constant(p1: float, p2: float, n_states: int) -> "PowerPolicy":
-        return PowerPolicy(p1=(float(p1),) * n_states, p2=(float(p2),) * n_states)
+        return PowerPolicy(np.full(n_states, float(p1)), np.full(n_states, float(p2)))
+
+    def swap_users(self) -> "PowerPolicy":
+        """The same powers with the users' columns exchanged."""
+        return PowerPolicy(self.arrays[1], self.arrays[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerPolicy):
+            return NotImplemented
+        return all(map(np.array_equal, self.arrays, other.arrays))
+
+    def __hash__(self) -> int:
+        return hash(tuple((a + 0.0).tobytes() for a in self.arrays))
+
+    def __repr__(self) -> str:
+        return f"PowerPolicy(p1={self.p1!r}, p2={self.p2!r})"
 
 
 @dataclass(frozen=True)
@@ -278,10 +404,34 @@ def validate_policy(
     )
 
 
-def _require_number(obj, field: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ChannelFormatError(f"{field} must be a number, got {obj!r}")
-    return float(obj)
+_STATE_KEYS = (*GAIN_FIELDS, "p")
+
+
+def _state_rows(raw_states: list) -> list[list]:
+    """The (g11, g12, g21, g22, p) values of every state entry, type-checked.
+
+    A document of plain objects holding ints and floats passes one check
+    over all its values; anything else is read entry by entry, and the
+    error names the first offending entry and field.
+    """
+    if all(type(entry) is dict for entry in raw_states):
+        try:
+            rows = [[entry[key] for key in _STATE_KEYS] for entry in raw_states]
+        except KeyError:
+            rows = None
+        if rows is not None and {type(v) for row in rows for v in row} <= {float, int}:
+            return rows
+    rows = []
+    for i, entry in enumerate(raw_states):
+        if not isinstance(entry, dict):
+            raise ChannelFormatError(f"states[{i}] must be an object")
+        row = []
+        for key in _STATE_KEYS:
+            if key not in entry:
+                raise ChannelFormatError(f"states[{i}] missing field '{key}'")
+            row.append(_require_number(entry[key], f"states[{i}].{key}"))
+        rows.append(row)
+    return rows
 
 
 def channel_from_dict(doc: dict) -> tuple[FadingProcess, PowerBudget]:
@@ -303,20 +453,10 @@ def channel_from_dict(doc: dict) -> tuple[FadingProcess, PowerBudget]:
     raw_states = doc["states"]
     if not isinstance(raw_states, list) or not raw_states:
         raise ChannelFormatError("'states' must be a non-empty list")
-    pairs: list[tuple[FadingState, float]] = []
-    for i, entry in enumerate(raw_states):
-        if not isinstance(entry, dict):
-            raise ChannelFormatError(f"states[{i}] must be an object")
-        gains = {}
-        for key in ("g11", "g12", "g21", "g22", "p"):
-            if key not in entry:
-                raise ChannelFormatError(f"states[{i}] missing field '{key}'")
-            gains[key] = _require_number(entry[key], f"states[{i}].{key}")
-        try:
-            state = FadingState(gains["g11"], gains["g12"], gains["g21"], gains["g22"])
-        except ChannelFormatError as exc:
-            raise ChannelFormatError(f"states[{i}]: {exc}") from exc
-        pairs.append((state, gains["p"]))
+    rows = _state_rows(raw_states)
+    table = np.array(rows, dtype=float)
+    # Gain errors name their state without the "states: " prefix below.
+    _check_gains(table[:, :4])
     raw_budget = doc["budget"]
     if not isinstance(raw_budget, dict):
         raise ChannelFormatError("'budget' must be an object")
@@ -328,7 +468,7 @@ def channel_from_dict(doc: dict) -> tuple[FadingProcess, PowerBudget]:
         p2_bar=_require_number(raw_budget["p2"], "budget.p2"),
     )
     try:
-        process = make_discrete_channel(pairs)
+        process = FadingProcess.from_arrays(table[:, :4], table[:, 4])
     except ChannelFormatError as exc:
         raise ChannelFormatError(f"states: {exc}") from exc
     return process, budget
@@ -350,8 +490,8 @@ def channel_to_dict(process: FadingProcess, budget: PowerBudget) -> dict:
     """Inverse of channel_from_dict."""
     return {
         "states": [
-            {"g11": s.g11, "g12": s.g12, "g21": s.g21, "g22": s.g22, "p": p}
-            for s, p in zip(process.states, process.probs)
+            dict(zip((*GAIN_FIELDS, "p"), (*gains, p)))
+            for gains, p in zip(process.gains.tolist(), process.prob_array.tolist())
         ],
         "budget": {"p1": budget.p1_bar, "p2": budget.p2_bar},
     }

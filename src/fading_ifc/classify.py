@@ -99,6 +99,29 @@ def classify_state(state: FadingState) -> StateLabel:
     return StateLabel.Mixed
 
 
+_LABELS = tuple(StateLabel)
+
+
+def _state_label_codes(process: FadingProcess) -> np.ndarray:
+    """classify_state for every state at once, as indices into _LABELS."""
+    g11, g12, g21, g22 = process.gain_arrays
+    rx2_clean, rx1_clean = g21 == 0.0, g12 == 0.0
+    # With one cross gain zero the surviving cross link decides.
+    one_sided_strong = np.where(rx2_clean, g12 >= g22, g21 >= g11)
+    cases = [
+        (rx2_clean & rx1_clean, StateLabel.Degenerate),
+        ((rx2_clean | rx1_clean) & one_sided_strong, StateLabel.OneSidedStrong),
+        (rx2_clean | rx1_clean, StateLabel.OneSidedWeak),
+        ((g21 >= g11) & (g12 >= g22), StateLabel.Strong),
+        ((g21 < g11) & (g12 < g22), StateLabel.Weak),
+    ]
+    return np.select(
+        [mask for mask, _ in cases],
+        [_LABELS.index(label) for _, label in cases],
+        default=_LABELS.index(StateLabel.Mixed),
+    )
+
+
 def evs_condition(process: FadingProcess, budget: PowerBudget) -> EvsCheck:
     """Averaged very-strong interference test at the waterfilling policies.
 
@@ -158,7 +181,7 @@ def classify_channel(process: FadingProcess, budget: PowerBudget) -> Classificat
     strong/weak split taken on the surviving cross link's raw gains so
     that states with a vanishing cross gain count as weak.
     """
-    labels = tuple(classify_state(s) for s in process.states)
+    codes = _state_label_codes(process)
     sidedness = channel_sidedness(process)
     evs = evs_condition(process, budget)
     g11, g12, g21, g22 = process.gain_arrays
@@ -178,16 +201,19 @@ def classify_channel(process: FadingProcess, budget: PowerBudget) -> Classificat
                 subclass = ChannelSubclass.OneSidedHybrid
     elif evs.holds:
         subclass = ChannelSubclass.EVS
-    elif all(lab is StateLabel.Strong for lab in labels):
+    elif bool(np.all(codes == _LABELS.index(StateLabel.Strong))):
         subclass = ChannelSubclass.US
-    elif all(lab is StateLabel.Weak for lab in labels):
+    elif bool(np.all(codes == _LABELS.index(StateLabel.Weak))):
         subclass = ChannelSubclass.UW
     elif um_orientation(process) is not None:
         subclass = ChannelSubclass.UM
     else:
         subclass = ChannelSubclass.Hybrid
     return ClassificationReport(
-        labels=labels, subclass=subclass, evs_check=evs, sidedness=sidedness
+        labels=tuple(_LABELS[k] for k in codes.tolist()),
+        subclass=subclass,
+        evs_check=evs,
+        sidedness=sidedness,
     )
 
 

@@ -21,11 +21,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import (
     ChannelFormatError,
     ConvergenceError,
     FadingProcess,
-    FadingState,
     PowerBudget,
     PowerPolicy,
     PreconditionError,
@@ -145,7 +146,8 @@ class _RowWriter:
 def _policy_cell(policy: PowerPolicy | None) -> str:
     if policy is None:
         return ""
-    return ";".join(f"{a:.6g}|{b:.6g}" for a, b in zip(policy.p1, policy.p2))
+    p1, p2 = policy.arrays
+    return ";".join(f"{a:.6g}|{b:.6g}" for a, b in zip(p1.tolist(), p2.tolist()))
 
 
 def _alpha_cell(alpha) -> str:
@@ -305,12 +307,9 @@ def _figure_ray_evs(config: RunConfig) -> int:
 
 def _binary_one_sided(h1: float, h2: float, p1: float) -> FadingProcess:
     """Unit direct links, cross gain into receiver 1 fading over {h1^2, h2^2}."""
-    states, probs = [], []
-    for h, p in ((h1, p1), (h2, 1.0 - p1)):
-        if p > 0.0:
-            states.append(FadingState(g11=1.0, g12=h * h, g21=0.0, g22=1.0))
-            probs.append(p)
-    return FadingProcess(states=tuple(states), probs=tuple(probs))
+    rows = [(1.0, h * h, 0.0, 1.0, p) for h, p in ((h1, p1), (h2, 1.0 - p1)) if p > 0.0]
+    table = np.array(rows).reshape(-1, 5)
+    return FadingProcess.from_arrays(table[:, :4], table[:, 4])
 
 
 def _joint_sum_rate(process: FadingProcess, budget: PowerBudget) -> tuple[float, str]:

@@ -58,8 +58,7 @@ def _swapped_budget(budget: PowerBudget) -> PowerBudget:
 
 def _swapped_allocation(allocation: "HkAllocation") -> "HkAllocation":
     """The same allocation with the users' power columns exchanged."""
-    policy = allocation.policy
-    return HkAllocation(PowerPolicy(p1=policy.p2, p2=policy.p1), allocation.alpha)
+    return HkAllocation(allocation.policy.swap_users(), allocation.alpha)
 
 
 class NotEVS(PreconditionError):
@@ -100,10 +99,9 @@ class HkAllocation:
 
     def __post_init__(self) -> None:
         alpha = tuple(float(a) for a in self.alpha)
-        if len(alpha) != len(self.policy.p1):
-            raise PreconditionError(
-                f"alpha has {len(alpha)} entries for {len(self.policy.p1)} states"
-            )
+        n = self.policy.arrays[0].shape[0]
+        if len(alpha) != n:
+            raise PreconditionError(f"alpha has {len(alpha)} entries for {n} states")
         for i, a in enumerate(alpha):
             if not math.isfinite(a) or a < -1e-12 or a > 1.0 + 1e-12:
                 raise PreconditionError(f"alpha[{i}] must lie in [0, 1], got {a!r}")
@@ -416,7 +414,7 @@ def uw1_sum_capacity(
     """
     if channel_sidedness(process) is Sidedness.OneSidedAtRx2:
         value, policy = uw1_sum_capacity(process.swap_users(), _swapped_budget(budget))
-        return value, PowerPolicy(p1=policy.p2, p2=policy.p1)
+        return value, policy.swap_users()
     _require_receiver1_sided(process)
     g11, g12, _, g22 = process.gain_arrays
     _weak_link_check(g12, g22, "receiver 1")
@@ -475,7 +473,7 @@ def um_sum_capacity(
         )
     if orient < 0:
         value, policy = um_sum_capacity(process.swap_users(), _swapped_budget(budget))
-        return value, PowerPolicy(p1=policy.p2, p2=policy.p1)
+        return value, policy.swap_users()
     g11, g12, g21, g22 = process.gain_arrays
     p = process.prob_array
     zero = np.zeros_like(p)

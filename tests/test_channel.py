@@ -74,6 +74,45 @@ class TestFadingProcess:
         np.testing.assert_array_equal(g21, [3, 7])
         np.testing.assert_array_equal(g22, [4, 8])
 
+    def test_non_numeric_probability_names_its_index(self):
+        with pytest.raises(ChannelFormatError, match="probs\\[0\\]"):
+            FadingProcess(states=(FadingState(1, 0, 0, 1),), probs=("a",))
+
+    def test_array_and_state_constructors_agree(self):
+        gains = np.array([[1.0, 2.0, 0.0, 4.0], [5.0, 0.0, 7.0, 8.0]])
+        from_states = FadingProcess(
+            states=tuple(FadingState(*row) for row in gains), probs=(0.25, 0.75)
+        )
+        from_arrays = FadingProcess.from_arrays(gains, [0.25, 0.75])
+        assert from_arrays == from_states
+        assert hash(from_arrays) == hash(from_states)
+        assert from_arrays.states == from_states.states
+        assert from_arrays.probs == from_states.probs
+
+    def test_nan_in_a_large_build_names_state_and_field(self):
+        gains = np.ones((20000, 4))
+        gains[13, 1] = np.nan
+        with pytest.raises(
+            ChannelFormatError, match=r"^states\[13\]: g12 must be finite and >= 0, got nan$"
+        ):
+            FadingProcess.from_arrays(gains, np.full(20000, 1.0 / 20000))
+
+    def test_storage_is_read_only(self):
+        proc = make_discrete_channel([((1, 2, 3, 4), 0.25), ((5, 6, 7, 8), 0.75)])
+        for arr in (*proc.gain_arrays, proc.gains, proc.prob_array):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            proc.prob_array = np.array([0.5, 0.5])
+
+    def test_from_arrays_copies_its_input(self):
+        gains = np.array([[1.0, 2.0, 3.0, 4.0]])
+        probs = np.array([1.0])
+        proc = FadingProcess.from_arrays(gains, probs)
+        gains[0, 0] = 9.0
+        probs[0] = 0.5
+        assert proc.gain_arrays[0][0] == 1.0 and proc.probs == (1.0,)
+
     def test_swap_users_involution(self):
         proc = make_discrete_channel([((1, 2, 3, 4), 0.3), ((5, 6, 7, 8), 0.7)])
         sw = proc.swap_users()
@@ -109,6 +148,26 @@ class TestBudgetAndPolicy:
         p1, p2 = a.arrays
         np.testing.assert_array_equal(p1, 0.5)
         np.testing.assert_array_equal(p2, 1.5)
+
+    def test_policy_tuples_and_arrays_agree(self):
+        pol = PowerPolicy(p1=(1, 2.5), p2=(0.0, 3.0))
+        assert pol.p1 == (1.0, 2.5) and all(isinstance(x, float) for x in pol.p1)
+        assert pol.swap_users().p1 == pol.p2
+        assert pol.swap_users().swap_users() == pol
+        assert hash(pol) == hash(PowerPolicy.from_arrays(np.array([1.0, 2.5]), [0.0, 3.0]))
+
+    def test_policy_arrays_are_read_only(self):
+        p1, p2 = PowerPolicy.constant(0.5, 1.5, 3).arrays
+        for arr in (p1, p2):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_from_arrays_copies_its_input(self):
+        x1, x2 = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        pol = PowerPolicy.from_arrays(x1, x2)
+        x1[0] = x2[1] = -7.0
+        assert pol.p1 == (1.0, 2.0) and pol.p2 == (3.0, 4.0)
+        np.testing.assert_array_equal(pol.arrays[0], [1.0, 2.0])
 
     def test_validate_policy_audit(self):
         proc = make_discrete_channel([((1, 0, 0, 1), 0.5), ((2, 0, 0, 2), 0.5)])
@@ -150,6 +209,19 @@ class TestRayleighSampling:
         assert proc == again
         other = sample_rayleigh_channel(2.0, n_samples=500, seed=8)
         assert proc != other
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_non_integer_sample_count_rejected(self, bad):
+        with pytest.raises(ChannelFormatError, match="n_samples"):
+            sample_rayleigh_channel(2.0, n_samples=bad)
+
+    def test_stream_draws_g12_then_g21(self):
+        proc = sample_rayleigh_channel(2.0, n_samples=300, seed=5)
+        rng = np.random.default_rng(5)
+        g12 = rng.exponential(scale=2.0, size=300)
+        g21 = rng.exponential(scale=2.0, size=300)
+        np.testing.assert_array_equal(proc.gain_arrays[1], g12)
+        np.testing.assert_array_equal(proc.gain_arrays[2], g21)
 
     def test_direct_gains_fixed_cross_gains_exponential(self):
         proc = sample_rayleigh_channel(3.0, direct_gains=(1.5, 0.5), n_samples=4000, seed=0)
@@ -195,6 +267,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ChannelFormatError, match=field):
             channel_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "states\\[1\\].g21 must be a number"),
+            (float("nan"), "^states\\[1\\]: g21 must be finite"),
+        ],
+    )
+    def test_bad_gain_value_names_entry_and_field(self, value, message):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["states"][1]["g21"] = value
+        with pytest.raises(ChannelFormatError, match=message):
+            channel_from_dict(doc)
+
     def test_unreadable_and_invalid_files(self, tmp_path):
         with pytest.raises(ChannelFormatError, match="cannot read"):
             load_channel_json(str(tmp_path / "missing.json"))
@@ -202,3 +287,21 @@ class TestJsonRoundTrip:
         bad.write_text("{not json")
         with pytest.raises(ChannelFormatError, match="not valid JSON"):
             load_channel_json(str(bad))
+
+
+class TestMakeDiscreteChannel:
+    def test_non_numeric_probability_names_its_entry(self):
+        with pytest.raises(ChannelFormatError, match="entry 0"):
+            make_discrete_channel([((1, 0, 0, 1), "x")])
+
+    def test_non_numeric_gain_names_entry_and_field(self):
+        with pytest.raises(ChannelFormatError, match="entry 1: g21"):
+            make_discrete_channel([((1, 0, 0, 1), 0.5), ((1, 0, None, 1), 0.5)])
+
+    def test_bad_gain_value_names_state_and_field(self):
+        with pytest.raises(ChannelFormatError, match=r"states\[1\]: g11"):
+            make_discrete_channel([((1, 0, 0, 1), 0.5), ((-1, 0, 0, 1), 0.5)])
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ChannelFormatError, match="non-empty"):
+            make_discrete_channel([])

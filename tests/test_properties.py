@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from fading_ifc.channel import (
+    FadingProcess,
     FadingState,
     PowerBudget,
     PowerPolicy,
@@ -11,7 +12,7 @@ from fading_ifc.channel import (
     channel_to_dict,
 )
 from fading_ifc.allocate import _project_capped, _waterfill_powers, dual_bound, waterfill
-from fading_ifc.classify import StateLabel, classify_state
+from fading_ifc.classify import StateLabel, classify_channel, classify_state
 from fading_ifc.cmac import _engine_objectives, sum_rate_fixed_policy
 from fading_ifc.ifc import HkAllocation, _face_grid, hk_sum_rates, tdm_baseline
 
@@ -179,3 +180,37 @@ def test_channel_document_round_trip(states, b1, b2):
     assert proc2.states == proc.states
     np.testing.assert_allclose(proc2.probs, proc.probs, atol=1e-12)
     assert budget2 == budget
+
+
+# Few distinct values, so that zeros and ties between gains are common.
+tied_gain = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), finite_gain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(tied_gain, tied_gain, tied_gain, tied_gain), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_array_built_process_equals_state_built_process(rows, data):
+    weights = [data.draw(st.floats(min_value=0.1, max_value=10.0)) for _ in rows]
+    probs = [w / sum(weights) for w in weights]
+    from_states = FadingProcess(states=tuple(FadingState(*r) for r in rows), probs=tuple(probs))
+    from_arrays = FadingProcess.from_arrays(np.array(rows), np.array(probs))
+    assert from_arrays == from_states
+    for a, b in zip(from_arrays.gain_arrays, from_states.gain_arrays):
+        np.testing.assert_array_equal(a, b)
+    assert from_arrays.probs == from_states.probs
+    assert from_arrays.states == from_states.states
+    swapped = from_arrays.swap_users()
+    assert swapped.states == tuple(
+        FadingState(g11=s.g22, g12=s.g21, g21=s.g12, g22=s.g11) for s in from_states.states
+    )
+    assert swapped.swap_users() == from_states
+    budget = PowerBudget(1.0, 2.0)
+    doc = channel_to_dict(from_arrays, budget)
+    assert doc == channel_to_dict(from_states, budget)
+    again, _ = channel_from_dict(doc)
+    assert again.states == from_states.states
+    np.testing.assert_allclose(again.probs, from_states.probs, atol=1e-12)
+    labels = classify_channel(from_arrays, budget).labels
+    assert labels == tuple(classify_state(s) for s in from_states.states)
