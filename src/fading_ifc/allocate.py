@@ -143,7 +143,12 @@ def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> Waterf
     per-state powers P(g) = max(water_level - 1/g, 0), the water level,
     and the achieved rate E[log2(1 + g P(g))].
     """
-    table = np.array(list(gain_dist), dtype=float)
+    try:
+        table = np.array(list(gain_dist), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(
+            "gain_dist must be a sequence of numeric (gain, probability) pairs"
+        ) from exc
     if table.size == 0:
         raise PreconditionError("gain_dist must be non-empty")
     if table.ndim != 2 or table.shape[1] != 2:
@@ -151,7 +156,11 @@ def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> Waterf
     gains, probs = table.T.copy()
     if (gains < 0).any() or not np.isfinite(gains).all():
         raise PreconditionError("gains must be finite and >= 0")
-    if (probs <= 0).any() or abs(float(probs.sum()) - 1.0) > 1e-6:
+    if (
+        not np.isfinite(probs).all()
+        or (probs <= 0).any()
+        or abs(float(probs.sum()) - 1.0) > 1e-6
+    ):
         raise PreconditionError(
             f"probabilities must be positive and sum to 1, got sum {probs.sum():g}"
         )

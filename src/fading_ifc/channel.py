@@ -22,6 +22,7 @@ per-state object.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import numbers
@@ -56,6 +57,13 @@ def _is_real(value) -> bool:
 
 def _require_number(obj, field: str) -> float:
     if not _is_real(obj):
+        raise ChannelFormatError(f"{field} must be a number, got {obj!r}")
+    return float(obj)
+
+
+def _require_prob(obj, field: str) -> float:
+    """A probability of any real type (numpy scalars, Fraction, Decimal too), but not a bool."""
+    if not isinstance(obj, (numbers.Real, decimal.Decimal)) or isinstance(obj, bool):
         raise ChannelFormatError(f"{field} must be a number, got {obj!r}")
     return float(obj)
 
@@ -148,7 +156,7 @@ class FadingProcess(_Frozen):
         for i, s in enumerate(states):
             if not isinstance(s, FadingState):
                 raise ChannelFormatError(f"states[{i}] must be a FadingState, got {s!r}")
-        probs = np.array([_require_number(p, f"probs[{i}]") for i, p in enumerate(probs)])
+        probs = np.array([_require_prob(p, f"probs[{i}]") for i, p in enumerate(probs)])
         gains = np.array([s.as_tuple() for s in states], dtype=float)
         self._own(gains, _normalized_probs(probs))
         self.__dict__["states"] = states
@@ -248,7 +256,7 @@ def make_discrete_channel(weighted_states: Iterable[tuple[StateLike, float]]) ->
                     f"entry {i}: state needs 4 gains (g11, g12, g21, g22), got {len(gains)}"
                 )
             rows.append([_require_number(g, f"entry {i}: {k}") for k, g in zip(GAIN_FIELDS, gains)])
-        probs.append(_require_number(prob, f"entry {i}: probability"))
+        probs.append(_require_prob(prob, f"entry {i}: probability"))
     if not rows:
         raise ChannelFormatError("states must be non-empty")
     return FadingProcess.from_arrays(rows, probs)
@@ -302,6 +310,18 @@ class PowerBudget:
             object.__setattr__(self, name, float(value))
 
 
+def _power_array(values) -> np.ndarray:
+    """A float copy of one user's powers.
+
+    Entries that do not form a numeric array go through float() one by
+    one, so None raises TypeError instead of becoming NaN.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        a = np.array([float(x) for x in values])
+    return np.array(a, dtype=float)
+
+
 class PowerPolicy(_Frozen):
     """Per-state transmit powers for both users, indexed like the process states.
 
@@ -311,7 +331,7 @@ class PowerPolicy(_Frozen):
     """
 
     def __init__(self, p1, p2) -> None:
-        a1, a2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
+        a1, a2 = _power_array(p1), _power_array(p2)
         if a1.ndim != 1 or a1.shape != a2.shape:
             raise ChannelFormatError(
                 f"policy arrays disagree: shapes {a1.shape} and {a2.shape}, expected (n,) and (n,)"
@@ -410,17 +430,8 @@ _STATE_KEYS = (*GAIN_FIELDS, "p")
 def _state_rows(raw_states: list) -> list[list]:
     """The (g11, g12, g21, g22, p) values of every state entry, type-checked.
 
-    A document of plain objects holding ints and floats passes one check
-    over all its values; anything else is read entry by entry, and the
-    error names the first offending entry and field.
+    The error names the first offending entry and field.
     """
-    if all(type(entry) is dict for entry in raw_states):
-        try:
-            rows = [[entry[key] for key in _STATE_KEYS] for entry in raw_states]
-        except KeyError:
-            rows = None
-        if rows is not None and {type(v) for row in rows for v in row} <= {float, int}:
-            return rows
     rows = []
     for i, entry in enumerate(raw_states):
         if not isinstance(entry, dict):

@@ -62,6 +62,10 @@ class TestWaterfill:
             ([(-1.0, 1.0)], 1.0, "finite"),
             ([(1.0, 1.0)], 0.0, "budget"),
             ([(0.0, 1.0)], 1.0, "zero"),
+            ([(1.0, None)], 1.0, "sum to 1"),
+            ([(None, 1.0)], 1.0, "finite"),
+            ([(1.0, 0.5), (1.0, 0.2, 3.0)], 1.0, "pairs"),
+            ([("a", 1.0)], 1.0, "pairs"),
         ],
     )
     def test_input_validation(self, dist, budget, msg):

@@ -2,6 +2,8 @@
 
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +80,18 @@ class TestFadingProcess:
         with pytest.raises(ChannelFormatError, match="probs\\[0\\]"):
             FadingProcess(states=(FadingState(1, 0, 0, 1),), probs=("a",))
 
+    @pytest.mark.parametrize(
+        "prob", [np.float32(1.0), np.int64(1), Fraction(1, 1), Decimal("1.0")]
+    )
+    def test_real_probability_types_accepted(self, prob):
+        state = FadingState(1, 0, 0, 1)
+        assert FadingProcess(states=(state,), probs=(prob,)).probs == (1.0,)
+        assert make_discrete_channel([(state, prob)]).probs == (1.0,)
+
+    def test_bool_probability_rejected(self):
+        with pytest.raises(ChannelFormatError, match="probs\\[0\\]"):
+            FadingProcess(states=(FadingState(1, 0, 0, 1),), probs=(True,))
+
     def test_array_and_state_constructors_agree(self):
         gains = np.array([[1.0, 2.0, 0.0, 4.0], [5.0, 0.0, 7.0, 8.0]])
         from_states = FadingProcess(
@@ -140,6 +154,10 @@ class TestBudgetAndPolicy:
     def test_policy_shape_checked(self):
         with pytest.raises(ChannelFormatError, match="disagree"):
             PowerPolicy(p1=(1.0,), p2=(1.0, 2.0))
+
+    def test_policy_rejects_none_power(self):
+        with pytest.raises(TypeError):
+            PowerPolicy(p1=(1.0, None), p2=(0.0, 0.0))
 
     def test_policy_constructors_agree(self):
         a = PowerPolicy.constant(0.5, 1.5, 3)

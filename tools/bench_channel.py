@@ -1,4 +1,4 @@
-"""Best-of-N timings of the channel layer and of `figure ray-evs`.
+"""Best-of-5 timings of the channel layer and of `figure ray-evs`.
 
 Times four things, each stored next to the value it produced, so a
 speedup that changes a number shows in the same file:
@@ -16,12 +16,16 @@ speedup that changes a number shows in the same file:
 
 Usage, from the repository root::
 
-    python3 tools/bench_channel.py --src src --label change --commit HEAD \\
-        --json BENCH_channel.json
+    python3 tools/bench_channel.py --src src --label change
 
-``--src`` may point at the ``src/`` of another checkout, so two trees can
-be timed with the same script and recorded side by side under two labels.
-BLAS runs one thread (set before numpy loads).
+``--src`` may point at the ``src/`` of another git checkout, so two trees
+can be timed with the same script and recorded side by side under two
+labels.  The entry is written to ``BENCH_channel.json`` at the repository
+root, replacing any entry with the same label, and records the full id of
+``--commit`` (default HEAD) in the checkout that holds ``--src``; the
+script refuses to run when that ``src`` differs from the commit.  Each
+time is the best of five runs; BLAS runs one thread (set before numpy
+loads).
 """
 
 import argparse
@@ -29,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -38,6 +43,8 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 RAY_EVS_GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
+REPEATS = 5
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_channel.json")
 
 
 def _digest(process) -> str:
@@ -45,9 +52,9 @@ def _digest(process) -> str:
     return hashlib.sha256(gains.tobytes() + process.prob_array.tobytes()).hexdigest()
 
 
-def _best(fn, repeats: int):
+def _best(fn):
     times, value = [], None
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         value = fn()
         times.append(time.perf_counter() - t0)
@@ -65,12 +72,12 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def measure(repeats: int) -> dict:
+def measure() -> dict:
     from fading_ifc import cli
     from fading_ifc.channel import load_channel_json, sample_rayleigh_channel
 
     out = {}
-    t, proc = _best(lambda: sample_rayleigh_channel(2.0, n_samples=20000, seed=1), repeats)
+    t, proc = _best(lambda: sample_rayleigh_channel(2.0, n_samples=20000, seed=1))
     out["sample_rayleigh_channel"] = {"best_s": t, "sha256": _digest(proc)}
 
     rng = np.random.default_rng(0)
@@ -87,11 +94,11 @@ def measure(repeats: int) -> dict:
         path = os.path.join(tmp, "channel.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        t, (proc, _) = _best(lambda: load_channel_json(path), repeats)
+        t, (proc, _) = _best(lambda: load_channel_json(path))
         out["load_channel_json"] = {"best_s": t, "n_states": n, "sha256": _digest(proc)}
 
         procs = [sample_rayleigh_channel(s, n_samples=20000, seed=0) for s in RAY_EVS_GRID]
-        t, pbars = _best(lambda: [cli._evs_pbar_max(p) for p in procs], repeats)
+        t, pbars = _best(lambda: [cli._evs_pbar_max(p) for p in procs])
         out["_evs_pbar_max"] = {
             "best_s": t,
             "pbar_max": {f"{s:g}": v for s, v in zip(RAY_EVS_GRID, pbars)},
@@ -104,38 +111,50 @@ def measure(repeats: int) -> dict:
             with open(csv, "rb") as fh:
                 return code, hashlib.sha256(fh.read()).hexdigest()
 
-        t, (code, sha) = _best(figure, repeats)
+        t, (code, sha) = _best(figure)
         out["figure ray-evs"] = {"best_s": t, "exit_code": code, "csv_sha256": sha}
     return out
+
+
+def _resolve_commit(src: str, commit: str) -> str:
+    """Full id of ``commit`` in the checkout holding ``src``, which must match it."""
+
+    def git(*args):
+        return subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+
+    found = git("rev-parse", "--verify", f"{commit}^{{commit}}")
+    if found.returncode != 0:
+        sys.exit(f"{src} is not in a git checkout holding commit {commit!r}")
+    sha = found.stdout.strip()
+    if git("diff", "--quiet", sha, "--", ".").returncode != 0:
+        sys.exit(f"{src} differs from commit {sha}; commit or stash the change first")
+    return sha
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default="src", help="directory holding the fading_ifc package")
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
-    ap.add_argument("--commit", default="", help="commit the timed tree was built from")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--json", default=None, help="file to add the entry to (default: print)")
+    ap.add_argument("--commit", default="HEAD", help="commit the timed src must match")
     args = ap.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = os.path.abspath(args.src)
+    commit = _resolve_commit(src, args.commit)
+    sys.path.insert(0, src)
     entry = {
         "label": args.label,
-        "commit": args.commit,
-        "repeats": args.repeats,
+        "commit": commit,
+        "repeats": REPEATS,
         "hardware": f"{_cpu_model()}, {os.cpu_count()} vCPU, OPENBLAS_NUM_THREADS=1",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "measurements": measure(args.repeats),
+        "measurements": measure(),
     }
-    if args.json is None:
-        print(json.dumps(entry, indent=2))
-        return 0
     doc = {"what": __doc__.split("\n\n")[0], "entries": []}
-    if os.path.exists(args.json):
-        with open(args.json, encoding="utf-8") as fh:
+    if os.path.exists(OUT):
+        with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
     doc["entries"] = [e for e in doc["entries"] if e["label"] != args.label] + [entry]
-    with open(args.json, "w", encoding="utf-8") as fh:
+    with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return 0
