@@ -22,8 +22,8 @@ Usage, from the repository root::
 can be timed with the same script and recorded side by side under two
 labels.  The entry is written to ``BENCH_channel.json`` at the repository
 root, replacing any entry with the same label, and records the full id of
-``--commit`` (default HEAD) in the checkout that holds ``--src``; the
-script refuses to run when that ``src`` differs from the commit.  Each
+the commit checked out where ``--src`` lives; the script refuses to run
+when that ``src`` differs from the commit.  Each
 time is the best of five runs; BLAS runs one thread (set before numpy
 loads).
 """
@@ -116,15 +116,15 @@ def measure() -> dict:
     return out
 
 
-def _resolve_commit(src: str, commit: str) -> str:
-    """Full id of ``commit`` in the checkout holding ``src``, which must match it."""
+def _head_commit(src: str) -> str:
+    """Full id of HEAD in the checkout holding ``src``, which must match it."""
 
     def git(*args):
         return subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
 
-    found = git("rev-parse", "--verify", f"{commit}^{{commit}}")
+    found = git("rev-parse", "--verify", "HEAD^{commit}")
     if found.returncode != 0:
-        sys.exit(f"{src} is not in a git checkout holding commit {commit!r}")
+        sys.exit(f"{src} is not in a git checkout")
     sha = found.stdout.strip()
     if git("diff", "--quiet", sha, "--", ".").returncode != 0:
         sys.exit(f"{src} differs from commit {sha}; commit or stash the change first")
@@ -135,10 +135,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default="src", help="directory holding the fading_ifc package")
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
-    ap.add_argument("--commit", default="HEAD", help="commit the timed src must match")
     args = ap.parse_args()
     src = os.path.abspath(args.src)
-    commit = _resolve_commit(src, args.commit)
+    commit = _head_commit(src)
     sys.path.insert(0, src)
     entry = {
         "label": args.label,
