@@ -115,21 +115,24 @@ def _waterfill_powers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Waterfill each row of gains: P = (nu - 1/g)+ with probs @ P = budget.
 
-    gains is (n,) or (m, n), and every row has the same zero-gain
-    states; those get zero power.  The water level nu (one per row) is
-    minus the exact shift of -1/g over the positive-gain states.  A
-    budget <= 0 or a gain row with no positive entry gives zero power
-    at nu = 0.
+    gains is (n,) or (m, n), and every row has the same dead states:
+    those whose gain is zero, or so small (below about 5.6e-309) that
+    1/g overflows; they get zero power.  The water level nu (one per
+    row) is minus the exact shift of -1/g over the live states.  A
+    budget <= 0 or a gain row with no live entry gives zero power at
+    nu = 0.
     """
     g = np.asarray(gains, dtype=float)
     p = np.asarray(probs, dtype=float)
     powers = np.zeros_like(g)
-    live = (g > 0).reshape(-1, g.shape[-1]).all(axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / g
+    # Only the live states enter the sort: an infinite 1/g would give a
+    # -inf entry and break the prefix search.
+    live = ((g > 0) & np.isfinite(inv)).reshape(-1, g.shape[-1]).all(axis=0)
     if not (budget > 0) or not live.any():
         return powers, np.zeros(g.shape[:-1])
-    # Only the positive-gain states enter the sort: 1/0 would give a
-    # -inf entry and break the prefix search.
-    inv = 1.0 / g[..., live]
+    inv = inv[..., live]
     nu = -_capped_shift(-inv, p[live], budget)
     powers[..., live] = np.maximum(nu[..., None] - inv, 0.0)
     return powers, nu
@@ -433,78 +436,87 @@ def kkt_residual_bundle(
     return float(max(min(kkt_residual(process, policy, o, budget) for o in bundle), extra))
 
 
-def _slsqp_polish(p, b1, b2, fun, jac, x1, x2, rows=(), extra0=(), extra_bounds=(),
-                  maxiter=300):
-    """Minimize fun over z = (P1, P2, extra) with SLSQP, from (x1, x2, extra0).
+def _slsqp_polish(p, b1, b2, fun, jac, powers, rows=(), extra0=(), extra_bounds=(),
+                  maxiter=300, held=None):
+    """Minimize fun over z = (power blocks, extra) with SLSQP, from (powers, extra0).
 
-    The caller's inequality rows come first, then the two budget rows
-    E[P_k] <= b_k; the powers are bounded below by zero and the extra
-    variables by ``extra_bounds``.  Returns (P1, P2, extra) with the
-    powers repaired to strict feasibility (clipped at zero, then scaled
-    down onto their budget, or zeroed when the budget is not positive),
-    or None when SLSQP raises on the problem.
+    ``powers`` is a sequence of per-state power blocks of shape (n,):
+    the first is user 1's power and every later one a part of user 2's,
+    so the budget rows are E[block 1] <= b1 and E[sum of the rest] <= b2.
+    The caller's inequality rows come first, then the two budget rows;
+    the powers are bounded below by zero, and held at zero where the
+    optional boolean mask ``held`` (one row per block) is set; the extra
+    variables are bounded by ``extra_bounds``.  Returns (blocks...,
+    extra) with the powers repaired to strict feasibility (clipped at
+    zero, then each user's blocks scaled down together onto its budget,
+    or zeroed when the budget is not positive), or None when SLSQP
+    raises on the problem.
     """
     n = p.shape[0]
-    z0 = np.concatenate([x1, x2, extra0])
+    k = len(powers)
+    z0 = np.concatenate([*powers, extra0])
+    spans = ((slice(0, n), b1), (slice(n, k * n), b2))
     cons = list(rows)
-    for col, cap in ((0, b1), (1, b2)):
+    for span, cap in spans:
         grad = np.zeros(z0.shape[0])
-        grad[col * n : (col + 1) * n] = -p
+        grad[span].reshape(-1, n)[:] = -p
 
-        def val(z, col=col, cap=cap):
-            return cap - float(p @ z[col * n : (col + 1) * n])
+        def val(z, span=span, cap=cap):
+            return cap - float(p @ z[span].reshape(-1, n).sum(axis=0))
 
         cons.append({"type": "ineq", "fun": val, "jac": lambda z, grad=grad: grad})
-    bounds = [(0.0, None)] * (2 * n) + list(extra_bounds)
+    held = np.zeros(k * n, bool) if held is None else np.ravel(held)
+    bounds = [(0.0, 0.0) if h else (0.0, None) for h in held]
     try:
         res = sciopt.minimize(
             fun,
             z0,
             jac=jac,
-            bounds=bounds,
+            bounds=bounds + list(extra_bounds),
             constraints=cons,
             method="SLSQP",
             options={"ftol": 1e-12, "maxiter": maxiter},
         )
     except (ValueError, OverflowError):
         return None
-    q1 = np.maximum(res.x[:n], 0.0)
-    q2 = np.maximum(res.x[n : 2 * n], 0.0)
-    for q, cap in ((q1, b1), (q2, b2)):
-        spend = float(p @ q)
+    x = np.maximum(res.x[: k * n], 0.0)
+    for span, cap in spans:
+        spend = float(p @ x[span].reshape(-1, n).sum(axis=0))
         if spend > cap > 0:
-            q *= cap / spend
+            x[span] *= cap / spend
         elif spend > cap:
-            q[:] = 0.0
-    return q1, q2, res.x[2 * n :]
+            x[span] = 0.0
+    return (*x.reshape(k, n), res.x[k * n :])
 
 
-def _epigraph_polish(p, objectives, b1, b2, x1, x2, maxiter=300):
+def _epigraph_polish(p, objectives, b1, b2, *powers, maxiter=300, held=None):
     """SLSQP on the epigraph form: maximize t s.t. every objective >= t.
 
-    Variables are (P1, P2, t).  Returns feasible (P1, P2), or None when
-    the solver fails.
+    Variables are the power blocks, as _slsqp_polish takes them (user 1,
+    then one or more parts of user 2; ``held`` pins coordinates at
+    zero), and t.  Returns the feasible power blocks, or None when the
+    solver fails.
     """
     n = p.shape[0]
+    k = len(powers)
     rows = []
     for obj in objectives:
 
         def val(z, obj=obj):
-            return obj.value(z[:n], z[n : 2 * n]) - z[-1]
+            return obj.value(*z[: k * n].reshape(k, n)) - z[-1]
 
         def jac(z, obj=obj):
-            g1, g2 = obj.gradient(z[:n], z[n : 2 * n])
-            return np.concatenate([g1, g2, [-1.0]])
+            return np.concatenate([*obj.gradient(*z[: k * n].reshape(k, n)), [-1.0]])
 
         rows.append({"type": "ineq", "fun": val, "jac": jac})
-    grad = np.zeros(2 * n + 1)
+    grad = np.zeros(k * n + 1)
     grad[-1] = -1.0
-    t0 = min(o.value(x1, x2) for o in objectives)
+    t0 = min(o.value(*powers) for o in objectives)
     out = _slsqp_polish(
-        p, b1, b2, lambda z: -z[-1], lambda z: grad, x1, x2, rows,
-        extra0=[t0], extra_bounds=[(None, None)], maxiter=maxiter,
+        p, b1, b2, lambda z: -z[-1], lambda z: grad, powers, rows,
+        extra0=[t0], extra_bounds=[(None, None)], maxiter=maxiter, held=held,
     )
-    return None if out is None else out[:2]
+    return None if out is None else out[:-1]
 
 
 def _ascend(objectives, x, project, p: np.ndarray, budget: PowerBudget, steps: int,

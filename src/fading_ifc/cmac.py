@@ -309,8 +309,7 @@ def _blend_candidate(
             b2,
             lambda z, f=mixed: -f.value(z[:n], z[n:]),
             lambda z, f=mixed: -np.concatenate(f.gradient(z[:n], z[n:])),
-            x1,
-            x2,
+            (x1, x2),
             maxiter=200,
         )
         if out is None:

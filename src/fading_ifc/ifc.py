@@ -20,6 +20,10 @@ refining grid (_face_grid): both budget faces for the min-of-rates
 searches, the P2 face for the treat-as-noise sum capacity, and the two
 faces times each weak state's private fraction for rate splitting.
 Returned values are certified by KKT residuals or by the grid itself.
+Rate splitting searches over (P1, c, q), user 2's power written as its
+common part c plus its private part q, so user 2's feasible set is the
+plain budget set of _project_capped over 2n coordinates and the SLSQP
+polish needs no coupling row between c and q.
 """
 
 from __future__ import annotations
@@ -553,142 +557,86 @@ def hk_region_bounds(
 
 
 def _hk_rates(process: FadingProcess) -> tuple[RateObjective, RateObjective]:
-    """S1 and S2 as objectives over (P1, P2, q), q user 2's private power."""
+    """S1 and S2 as objectives over (P1, c, q): user 2's power P2 = c + q
+    splits into the common part c and the private part q."""
     g11, g12, _, g22 = process.gain_arrays
     zero = np.zeros(process.n_states)
     s1 = RateObjective(
         process.prob_array,
-        [(1.0, g11, zero, g12), (-1.0, zero, zero, g12), (1.0, zero, g22, zero)],
+        [(1.0, g11, zero, g12), (-1.0, zero, zero, g12), (1.0, zero, g22, g22)],
     )
     s2 = RateObjective(
         process.prob_array,
-        [(1.0, zero, zero, g22), (1.0, g11, g12, zero), (-1.0, zero, zero, g12)],
+        [(1.0, zero, zero, g22), (1.0, g11, g12, g12), (-1.0, zero, zero, g12)],
     )
     return s1, s2
 
 
-def _project_wedge(y2: np.ndarray, yq: np.ndarray, free_q: np.ndarray,
-                   probs: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Joint projection onto {0 <= q <= x2 (q = 0 where not free), p@x2 <= cap}.
-
-    The metric is the p-weighted one in which the ascent steps grad/p
-    are taken, so a binding budget shifts y2 uniformly (as in
-    _project_capped) before the per-state wedge projection; the shift is
-    found by bisection, for each row of y2 and yq, shape (n,) or (m, n).
-    """
-
-    def wedge(a, b):
-        u = np.where(b <= 0, np.maximum(a, 0.0), a)
-        v = np.where(b <= 0, 0.0, b)
-        over = (v > u) & (b > 0)
-        w = np.maximum(0.5 * (a + b), 0.0)
-        u = np.where(over, w, np.maximum(u, 0.0))
-        v = np.where(over, w, np.clip(v, 0.0, np.maximum(u, 0.0)))
-        return u, v
-
-    # A state without private power projects onto the half-line q = 0.
-    yq = np.where(free_q, yq, 0.0)
-    u, v = wedge(y2, yq)
-    over = u @ probs > cap + 1e-15
-    if not over.any():
-        return u, v
-    # The on-line region takes u = (a + b)/2, so theta must absorb yq too.
-    lo = np.zeros(over.shape)
-    hi = np.max(np.abs(y2), axis=-1) + np.max(np.abs(yq), axis=-1) + 1.0
-    for _ in range(90):
-        th = 0.5 * (lo + hi)
-        spend = wedge(y2 - th[..., None], yq)[0] @ probs
-        lo = np.where(spend > cap, th, lo)
-        hi = np.where(spend > cap, hi, th)
-    u_cut, v_cut = wedge(y2 - hi[..., None], yq)
-    return np.where(over[..., None], u_cut, u), np.where(over[..., None], v_cut, v)
-
-
 def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Multistart search over (P1, P2, private power) for min(S1, S2)."""
-    g11, g12, _, g22 = process.gain_arrays
+    """Multistart search over (P1, c, q) for min(S1, S2); returns (value, P1, c, q).
+
+    User 2's feasible set {c, q >= 0, p @ (c + q) <= b2, q = 0 on strong
+    states} is the capped set of _project_capped over its 2n coordinates
+    with probabilities (p, p): a strong state's q enters the projection
+    at zero and stays there, since the shift is never negative.
+    """
+    _, g12, _, g22 = process.gain_arrays
     p = process.prob_array
     n = process.n_states
     b1, b2 = budget.p1_bar, budget.p2_bar
-    free_q = ~(g12 >= g22)
+    strong = g12 >= g22
     rates = _hk_rates(process)
-
-    def value(x1, x2, q):
-        return min(o.value(x1, x2, q) for o in rates)
+    held = np.array([np.zeros(n, bool), np.zeros(n, bool), strong])
+    pp = np.concatenate([p, p])
 
     best = (-np.inf, np.zeros(n), np.zeros(n), np.zeros(n))
 
-    def consider(x1, x2, q):
+    def consider(x1, c, q):
         nonlocal best
-        v = value(x1, x2, q)
+        v = min(o.value(x1, c, q) for o in rates)
         if v > best[0]:
-            best = (v, x1.copy(), x2.copy(), q.copy())
+            best = (v, x1.copy(), c.copy(), q.copy())
 
-    def rate_row(obj):
-        def val(z):
-            return obj.value(z[:n], z[n:2*n], z[2*n:3*n]) - z[-1]
-
-        def jac(z):
-            return np.concatenate([*obj.gradient(z[:n], z[n:2*n], z[2*n:3*n]), [-1.0]])
-
-        return {"type": "ineq", "fun": val, "jac": jac}
-
-    # Epigraph SLSQP over (P1, P2, q, t): t under both sum rates, q <= P2.
-    grad = np.zeros(3 * n + 1)
-    grad[-1] = -1.0
-    wjac = np.zeros((n, 3 * n + 1))
-    wjac[np.arange(n), n + np.arange(n)] = 1.0
-    wjac[np.arange(n), 2 * n + np.arange(n)] = -1.0
-    rows = [
-        *(rate_row(obj) for obj in rates),
-        {"type": "ineq", "fun": lambda z: z[n:2*n] - z[2*n:3*n], "jac": lambda z: wjac},
-    ]
-    extra_bounds = [(0.0, None) if free else (0.0, 0.0) for free in free_q]
-    extra_bounds += [(None, None)]
-
-    def polish(x1, x2, q):
-        extra0 = np.concatenate([q, [value(x1, x2, q)]])
-        out = _slsqp_polish(
-            p, b1, b2, lambda z: -z[-1], lambda z: grad, x1, x2, rows,
-            extra0=extra0, extra_bounds=extra_bounds,
-        )
+    def polish(x1, c, q):
+        out = _epigraph_polish(p, rates, b1, b2, x1, c, q, held=held)
         if out is not None:
-            x1n, x2n, extra = out
-            consider(x1n, x2n, np.clip(np.where(free_q, extra[:n], 0.0), 0.0, x2n))
+            consider(*out)
 
     def project(x):
-        x2, q = _project_wedge(x[1], x[2], free_q, p, b2)
-        return np.array([_project_capped(x[0], p, b1), x2, q])
+        cq = _project_capped(np.concatenate([x[1], np.where(strong, 0.0, x[2])], axis=-1), pp, b2)
+        return np.array([_project_capped(x[0], p, b1), cq[..., :n], cq[..., n:]])
 
     # The first four policy starts, each at full and at half private power.
     starts = np.repeat(_deterministic_starts(process, budget)[:, :4], 2, axis=1)
-    q0 = np.where(free_q, np.tile([1.0, 0.5], 4)[:, None] * starts[1], 0.0)
+    q0 = np.where(strong, 0.0, np.tile([1.0, 0.5], 4)[:, None] * starts[1])
     _, points, _ = _ascend(
-        rates, np.concatenate([starts, q0[None]]), project, p, budget, _ASCENT_ITERS
+        rates, np.array([starts[0], starts[1] - q0, q0]), project, p, budget, _ASCENT_ITERS
     )
-    for x1, x2, q in zip(*points):
-        consider(x1, x2, q)
-        polish(x1, x2, q)
+    for x1, c, q in zip(*points):
+        consider(x1, c, q)
+        polish(x1, c, q)
     if n <= 2:
         # Exhaustive sweep: budget faces for the powers (both sum rates
         # increase in every power), and for each weak state its private
         # fraction as the face (alpha, 1 - alpha) of unit probabilities.
-        free = np.flatnonzero(free_q)
+        free = np.flatnonzero(~strong)
 
-        def evaluate(X1, X2, *fractions):
+        def private(X2, fractions):
             Q = np.zeros_like(X2)
             for j, f in zip(free, fractions):
-                Q[:, j] = f[:, 0] * X2[:, j]
-            return np.minimum(*(o.value(X1, X2, Q) for o in rates))
+                Q[..., j] = f[..., 0] * X2[..., j]
+            return Q
+
+        def evaluate(X1, X2, *fractions):
+            Q = private(X2, fractions)
+            return np.minimum(*(o.value(X1, X2 - Q, Q) for o in rates))
 
         _, (gx1, gx2, *fractions) = _face_grid(
             [(p, b1, 21), (p, b2, 21)] + [(np.ones(2), 1.0, 11)] * free.size, evaluate, floor=9
         )
-        q = np.zeros(n)
-        for j, f in zip(free, fractions):
-            q[j] = f[0] * gx2[j]
-        consider(gx1, gx2, q)
-        polish(best[1], best[2], best[3])
+        q = private(gx2, fractions)
+        consider(gx1, gx2 - q, q)
+        polish(*best[1:])
     if not np.isfinite(best[0]):
         raise ConvergenceError("rate-splitting search found no finite candidate")
     return best
@@ -740,11 +688,10 @@ def hk_optimize(
         value, policy = uw1_sum_capacity(process, budget)
         return value, HkAllocation(policy, (1.0,) * n), MinimaxCase.Case3_equal
 
-    value, x1, x2, q = _hk_generic(process, budget)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        alpha = np.where(x2 > 0, q / np.where(x2 > 0, x2, 1.0), 0.0)
-    alpha = np.clip(np.where(strong, 0.0, alpha), 0.0, 1.0)
-    s1, s2 = (o.value(x1, x2, q) for o in rates)
+    value, x1, c, q = _hk_generic(process, budget)
+    x2 = c + q
+    alpha = np.divide(q, x2, out=np.zeros(n), where=x2 > 0)
+    s1, s2 = (o.value(x1, c, q) for o in rates)
     alloc = HkAllocation(PowerPolicy.from_arrays(x1, x2), tuple(alpha))
     return value, alloc, _minimax_case(s1, s2)
 
@@ -799,7 +746,7 @@ def separable_one_sided_baseline(
         t0 = objective.branch_values(x1, x2).min(axis=0)
         out = _slsqp_polish(
             p, budget.p1_bar, budget.p2_bar, lambda z: -float(p @ z[2 * n :]),
-            lambda z: grad, x1, x2, rows, extra0=t0, extra_bounds=[(None, None)] * n,
+            lambda z: grad, (x1, x2), rows, extra0=t0, extra_bounds=[(None, None)] * n,
         )
         return None if out is None else out[:2]
 

@@ -174,32 +174,27 @@ def face_grid_max(objective, budget: PowerBudget, points: int = 61) -> float:
     return float(acc.max()) / LN2
 
 
-def wedge_projection_qp(y2, yq, free_q, probs, cap: float):
-    """Projection onto {0 <= q <= x2, q = 0 off free_q, probs @ x2 <= cap}.
+def capped_projection_qp(y, probs, cap: float, held=None):
+    """Projection onto {x >= 0, x = 0 where held, probs @ x <= cap}.
 
-    Solves the quadratic program min sum_h p_h [(x2_h - y2_h)^2 +
-    (q_h - yq_h)^2] by SLSQP from the origin: the p-weighted metric in
-    which the ascent steps grad/p are taken.  Returns (x2, q).
+    Solves the quadratic program min sum_h p_h (x_h - y_h)^2 by SLSQP
+    from the origin: the p-weighted metric in which the ascent steps
+    grad/p are taken.
     """
-    y2, yq, p = (np.asarray(v, dtype=float) for v in (y2, yq, probs))
-    n = p.shape[0]
+    y, p = np.asarray(y, dtype=float), np.asarray(probs, dtype=float)
+    held = np.zeros(y.shape, bool) if held is None else np.asarray(held)
 
     def fun(z):
-        return float(p @ ((z[:n] - y2) ** 2 + (z[n:] - yq) ** 2))
+        return float(p @ (z - y) ** 2)
 
     def jac(z):
-        return 2.0 * np.concatenate([p * (z[:n] - y2), p * (z[n:] - yq)])
+        return 2.0 * p * (z - y)
 
-    wedge_jac = np.hstack([np.eye(n), -np.eye(n)])
-    budget_jac = np.concatenate([-p, np.zeros(n)])
-    cons = [
-        {"type": "ineq", "fun": lambda z: z[:n] - z[n:], "jac": lambda z: wedge_jac},
-        {"type": "ineq", "fun": lambda z: cap - float(p @ z[:n]), "jac": lambda z: budget_jac},
-    ]
-    bounds = [(None, None)] * n + [(0.0, None) if f else (0.0, 0.0) for f in free_q]
-    res = sciopt.minimize(fun, np.zeros(2 * n), jac=jac, bounds=bounds, constraints=cons,
+    cons = [{"type": "ineq", "fun": lambda z: cap - float(p @ z), "jac": lambda z: -p}]
+    bounds = [(0.0, 0.0) if h else (0.0, None) for h in held]
+    res = sciopt.minimize(fun, np.zeros(y.size), jac=jac, bounds=bounds, constraints=cons,
                           method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000})
-    return res.x[:n], res.x[n:]
+    return res.x
 
 
 def central_diff_gradient(fn, x1: np.ndarray, x2: np.ndarray, h: float = 1e-6):

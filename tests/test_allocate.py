@@ -1,9 +1,11 @@
 """Power allocation primitives: waterfilling, objectives, KKT audits, max-min solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fading_ifc.channel import PowerBudget, PowerPolicy, PreconditionError
+from fading_ifc.channel import PowerBudget, PowerPolicy, PreconditionError, make_discrete_channel
 from fading_ifc.allocate import (
     PerStateMinRate,
     RateObjective,
@@ -18,8 +20,10 @@ from fading_ifc.allocate import (
     maximize_min_concave,
     waterfill,
 )
+from fading_ifc.classify import evs_condition
 
 from oracles import (
+    capped_projection_qp,
     central_diff_gradient,
     channel,
     mac_iterative_waterfill,
@@ -86,6 +90,26 @@ class TestWaterfill:
         assert powers.shape == np.shape(gains)
         np.testing.assert_array_equal(powers, 0.0)
         np.testing.assert_array_equal(nu, 0.0)
+
+    def test_unrepresentable_reciprocal_gain_is_dead(self):
+        # 1/g overflows below about 5.6e-309: such a state gets no power,
+        # like a zero gain, and nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = waterfill([(1e-310, 1.0)], 1.0)
+            powers, nu = _waterfill_powers(np.array([1e-310, 1e-310]), np.array([0.5, 0.5]), 1.0)
+            mixed, mixed_nu = _waterfill_powers(np.array([1e-310, 1.0]), np.array([0.5, 0.5]), 1.0)
+            check = evs_condition(
+                make_discrete_channel([((1e-310, 0.5, 0.5, 1.0), 0.5), ((1.0, 0.5, 0.5, 1.0), 0.5)]),
+                B11,
+            )
+        assert res.powers.tolist() == [0.0]
+        assert res.water_level == 0.0
+        np.testing.assert_array_equal(powers, 0.0)
+        assert nu == 0.0
+        np.testing.assert_allclose(mixed, [0.0, 2.0])
+        assert mixed_nu == pytest.approx(3.0)
+        assert np.isfinite([check.lhs, check.rhs]).all()
 
 
 class TestRateObjective:
@@ -238,6 +262,21 @@ class TestProjectCapped:
     def test_zero_cap_silences(self):
         p = np.array([0.5, 0.5])
         np.testing.assert_allclose(_project_capped(np.array([3.0, 4.0]), p, 0.0), 0.0)
+
+    def test_matches_weighted_qp_with_held_entries(self):
+        # The rate-splitting ascent projects user 2's (common, private)
+        # powers as one vector with probabilities (p, p), the private
+        # entries of strong states entering at zero.
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            p = rng.dirichlet(np.ones(3))
+            pp = np.concatenate([p, p])
+            y = rng.uniform(-1.0, 3.0, 6)
+            held = np.concatenate([np.zeros(3, bool), rng.random(3) < 0.3])
+            cap = rng.uniform(0.2, 1.5)
+            x = _project_capped(np.where(held, 0.0, y), pp, cap)
+            assert (x[held] == 0.0).all()
+            np.testing.assert_allclose(x, capped_projection_qp(y, pp, cap, held), atol=1e-6)
 
 
 class TestKktResidual:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fading_ifc.channel import PowerBudget, PowerPolicy, PreconditionError
+from fading_ifc.channel import POWER_TOL, PowerBudget, PowerPolicy, PreconditionError
 from fading_ifc.allocate import RateObjective, kkt_residual
+from fading_ifc.classify import evs_condition
 from fading_ifc.cmac import sum_capacity
 from fading_ifc.ifc import (
     HkAllocation,
@@ -13,7 +14,6 @@ from fading_ifc.ifc import (
     NotUniformlyMixed,
     NotUniformlyStrong,
     NotUniformlyWeak,
-    _project_wedge,
     evs_sum_capacity,
     hk_optimize,
     hk_region_bounds,
@@ -28,7 +28,7 @@ from fading_ifc.ifc import (
     uw2_upper_bound,
 )
 
-from oracles import channel, random_feasible_policy, wedge_projection_qp
+from oracles import channel, random_feasible_policy
 
 B11 = PowerBudget(1.0, 1.0)
 
@@ -280,21 +280,6 @@ class TestHkAllocation:
         np.testing.assert_allclose(alloc.common_powers + alloc.private_powers, 2.0)
 
 
-class TestProjectWedge:
-    def test_matches_weighted_qp_on_unequal_probabilities(self):
-        # the ascent steps by grad/p, so the projection is in the p-weighted metric
-        rng = np.random.default_rng(21)
-        for _ in range(40):
-            p = rng.dirichlet(np.ones(3))
-            y2, yq = rng.uniform(-1.0, 3.0, (2, 3))
-            free = rng.random(3) < 0.7
-            cap = rng.uniform(0.2, 1.5)
-            u, v = _project_wedge(y2, yq, free, p, cap)
-            want_u, want_v = wedge_projection_qp(y2, yq, free, p, cap)
-            np.testing.assert_allclose(u, want_u, atol=1e-6)
-            np.testing.assert_allclose(v, want_v, atol=1e-6)
-
-
 class TestHkOptimize:
     def test_reduces_to_interference_free_on_very_strong(self):
         proc = channel([(1, 6, 0, 1)])
@@ -356,6 +341,31 @@ class TestHkOptimize:
         p = HYBRID_ONE_SIDED.prob_array
         assert float(p @ alloc.policy.arrays[0]) <= 1.0 + 1e-7
         assert float(p @ alloc.policy.arrays[1]) <= 1.0 + 1e-7
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_many_state_hybrids(self, seed):
+        # Three to five states: no face grid runs, so the ascent and the
+        # polish alone decide.
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 3
+        g11, g22 = rng.uniform(0.5, 3.0, (2, n))
+        strong = rng.permutation(np.arange(n) % 2 == 0)
+        g12 = g22 * np.where(strong, rng.uniform(1.0, 4.0, n), rng.uniform(0.05, 0.95, n))
+        proc = channel(zip(g11, g12, np.zeros(n), g22), rng.dirichlet(np.ones(n)))
+        budget = PowerBudget(*rng.uniform(0.5, 2.0, 2))
+        assert not evs_condition(proc, budget).holds
+        value, alloc, _ = hk_optimize(proc, budget)
+        p = proc.prob_array
+        x1, x2 = alloc.policy.arrays
+        assert float(p @ x1) <= budget.p1_bar + POWER_TOL
+        assert float(p @ x2) <= budget.p2_bar + POWER_TOL
+        alpha = np.array(alloc.alpha)
+        assert (alpha[strong] == 0.0).all()
+        assert ((alpha >= 0.0) & (alpha <= 1.0)).all()
+        assert min(hk_sum_rates(proc, alloc)) == pytest.approx(value, abs=1e-9)
+        sep, _ = separable_one_sided_baseline(proc, budget)
+        assert sep <= value + 1e-9
+        assert value <= interference_free_outer_bound(proc, budget) + 1e-9
 
 
 class TestSeparableBaseline:

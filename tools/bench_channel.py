@@ -1,6 +1,6 @@
-"""Best-of-5 timings of the channel layer and of `figure ray-evs`.
+"""Best-of-5 timings of the channel layer and of the three `figure` commands.
 
-Times four things, each stored next to the value it produced, so a
+Times six things, each stored next to the value it produced, so a
 speedup that changes a number shows in the same file:
 
 - ``sample_rayleigh_channel``: sigma2 = 2, 20,000 samples, seed 1; the
@@ -11,8 +11,9 @@ speedup that changes a number shows in the same file:
 - ``_evs_pbar_max``: the very-strong budget bisection on the five
   channels of ``figure ray-evs``'s default grid (sampling not timed); the
   value is pbar_max per sigma2;
-- ``figure ray-evs`` on its default grid, through ``cli.main``; the value
-  is the sha256 of its CSV.
+- ``figure ray-evs``, ``figure hk-hybrid`` and ``figure sep-gap``, each
+  on its default grid, through ``cli.main``; the value is the sha256 of
+  its CSV.
 
 Usage, from the repository root::
 
@@ -43,6 +44,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 RAY_EVS_GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
+FIGURES = ("ray-evs", "hk-hybrid", "sep-gap")
 REPEATS = 5
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_channel.json")
 
@@ -104,15 +106,16 @@ def measure() -> dict:
             "pbar_max": {f"{s:g}": v for s, v in zip(RAY_EVS_GRID, pbars)},
         }
 
-        csv = os.path.join(tmp, "ray-evs.csv")
+        for name in FIGURES:
+            csv = os.path.join(tmp, f"{name}.csv")
 
-        def figure():
-            code = cli.main(["figure", "ray-evs", "--out", csv])
-            with open(csv, "rb") as fh:
-                return code, hashlib.sha256(fh.read()).hexdigest()
+            def figure():
+                code = cli.main(["figure", name, "--out", csv])
+                with open(csv, "rb") as fh:
+                    return code, hashlib.sha256(fh.read()).hexdigest()
 
-        t, (code, sha) = _best(figure)
-        out["figure ray-evs"] = {"best_s": t, "exit_code": code, "csv_sha256": sha}
+            t, (code, sha) = _best(figure)
+            out[f"figure {name}"] = {"best_s": t, "exit_code": code, "csv_sha256": sha}
     return out
 
 
