@@ -110,6 +110,10 @@ def _capped_shift(y: np.ndarray, p: np.ndarray, cap) -> np.ndarray:
     return np.where(admissible, t_cand, -np.inf).max(axis=-1)
 
 
+# The smallest gain whose reciprocal is finite: 1/g overflows below it.
+_MIN_GAIN = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+
+
 def _waterfill_powers(
     gains: np.ndarray, probs: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,14 +129,12 @@ def _waterfill_powers(
     g = np.asarray(gains, dtype=float)
     p = np.asarray(probs, dtype=float)
     powers = np.zeros_like(g)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / g
-    # Only the live states enter the sort: an infinite 1/g would give a
-    # -inf entry and break the prefix search.
-    live = ((g > 0) & np.isfinite(inv)).reshape(-1, g.shape[-1]).all(axis=0)
+    live = (g >= _MIN_GAIN).reshape(-1, g.shape[-1]).all(axis=0)
     if not (budget > 0) or not live.any():
         return powers, np.zeros(g.shape[:-1])
-    inv = inv[..., live]
+    # Only the live states enter the sort: an infinite 1/g would give a
+    # -inf entry and break the prefix search.
+    inv = 1.0 / g[..., live]
     nu = -_capped_shift(-inv, p[live], budget)
     powers[..., live] = np.maximum(nu[..., None] - inv, 0.0)
     return powers, nu
@@ -455,24 +457,28 @@ def _slsqp_polish(p, b1, b2, fun, jac, powers, rows=(), extra0=(), extra_bounds=
     n = p.shape[0]
     k = len(powers)
     z0 = np.concatenate([*powers, extra0])
-    spans = ((slice(0, n), b1), (slice(n, k * n), b2))
+    # Each user's coordinates in z, with their probabilities.
+    users = [(slice(lo * n, hi * n), np.tile(p, hi - lo), cap)
+             for lo, hi, cap in ((0, 1, b1), (1, k, b2))]
     cons = list(rows)
-    for span, cap in spans:
+    for span, w, cap in users:
         grad = np.zeros(z0.shape[0])
-        grad[span].reshape(-1, n)[:] = -p
+        grad[span] = -w
 
-        def val(z, span=span, cap=cap):
-            return cap - float(p @ z[span].reshape(-1, n).sum(axis=0))
+        def val(z, span=span, w=w, cap=cap):
+            return cap - float(w @ z[span])
 
         cons.append({"type": "ineq", "fun": val, "jac": lambda z, grad=grad: grad})
-    held = np.zeros(k * n, bool) if held is None else np.ravel(held)
-    bounds = [(0.0, 0.0) if h else (0.0, None) for h in held]
+    bounds = [(0.0, None)] * (k * n) + list(extra_bounds)
+    if held is not None:
+        for i in np.flatnonzero(held):
+            bounds[i] = (0.0, 0.0)
     try:
         res = sciopt.minimize(
             fun,
             z0,
             jac=jac,
-            bounds=bounds + list(extra_bounds),
+            bounds=bounds,
             constraints=cons,
             method="SLSQP",
             options={"ftol": 1e-12, "maxiter": maxiter},
@@ -480,8 +486,8 @@ def _slsqp_polish(p, b1, b2, fun, jac, powers, rows=(), extra0=(), extra_bounds=
     except (ValueError, OverflowError):
         return None
     x = np.maximum(res.x[: k * n], 0.0)
-    for span, cap in spans:
-        spend = float(p @ x[span].reshape(-1, n).sum(axis=0))
+    for span, w, cap in users:
+        spend = float(w @ x[span])
         if spend > cap > 0:
             x[span] *= cap / spend
         elif spend > cap:

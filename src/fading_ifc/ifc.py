@@ -603,7 +603,8 @@ def _hk_generic(process, budget) -> tuple[float, np.ndarray, np.ndarray, np.ndar
             consider(*out)
 
     def project(x):
-        cq = _project_capped(np.concatenate([x[1], np.where(strong, 0.0, x[2])], axis=-1), pp, b2)
+        cq = np.concatenate([x[1], np.where(strong, 0.0, x[2])], axis=-1)
+        cq = _project_capped(cq, pp, b2)
         return np.array([_project_capped(x[0], p, b1), cq[..., :n], cq[..., n:]])
 
     # The first four policy starts, each at full and at half private power.

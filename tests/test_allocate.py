@@ -97,8 +97,9 @@ class TestWaterfill:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = waterfill([(1e-310, 1.0)], 1.0)
-            powers, nu = _waterfill_powers(np.array([1e-310, 1e-310]), np.array([0.5, 0.5]), 1.0)
-            mixed, mixed_nu = _waterfill_powers(np.array([1e-310, 1.0]), np.array([0.5, 0.5]), 1.0)
+            half = np.array([0.5, 0.5])
+            powers, nu = _waterfill_powers(np.array([1e-310, 1e-310]), half, 1.0)
+            mixed, mixed_nu = _waterfill_powers(np.array([1e-310, 1.0]), half, 1.0)
             check = evs_condition(
                 make_discrete_channel([((1e-310, 0.5, 0.5, 1.0), 0.5), ((1.0, 0.5, 0.5, 1.0), 0.5)]),
                 B11,
