@@ -89,55 +89,78 @@ class OptimizerReport:
     converged: bool
 
 
-def _capped_shift(y: np.ndarray, p: np.ndarray, cap) -> np.ndarray:
-    """The shift theta with p @ (y - theta)+ = cap, for each row of y.
+def _capped_shift(y: np.ndarray, p: np.ndarray):
+    """The shift theta with p @ (y - theta)+ = cap, as a function of cap.
 
     Exact by sorting (Duchi et al. 2008, Condat 2016): with a row sorted
     in descending order the support of (y - theta)+ is a prefix.  The
     candidate shift of each prefix rises with the prefix until the
     support is complete and falls after it, so theta is the largest
-    candidate that stays at or below its own last entry.  Needs finite
-    y of shape (..., n) and cap > 0, a scalar or one cap per row.
+    candidate that stays at or below its own last entry.  The sort and
+    the prefix sums of p and p*y are taken once, here; the returned
+    shift(cap) does only O(n) arithmetic per row, so calling it at many
+    caps gives the same floats as one call per cap.  Needs finite y of
+    shape (..., n); shift takes cap > 0, a scalar or one cap per row.
     """
     order = y.argsort(axis=-1)[..., ::-1]
     ys = np.sort(y, axis=-1)[..., ::-1]
     ps = p[order]
-    t_cand = ((ps * ys).cumsum(axis=-1) - np.asarray(cap)[..., None]) / ps.cumsum(axis=-1)
-    admissible = t_cand <= ys
-    # The one-entry prefix always qualifies in exact arithmetic, but a cap
-    # far below the entries' spacing can round its candidate above them.
-    admissible[..., 0] = True
-    return np.where(admissible, t_cand, -np.inf).max(axis=-1)
+    cum_py = (ps * ys).cumsum(axis=-1)
+    cum_p = ps.cumsum(axis=-1)
+
+    def shift(cap) -> np.ndarray:
+        t_cand = (cum_py - np.asarray(cap)[..., None]) / cum_p
+        admissible = t_cand <= ys
+        # The one-entry prefix always qualifies in exact arithmetic, but a
+        # cap far below the entries' spacing can round its candidate above
+        # them.
+        admissible[..., 0] = True
+        return np.where(admissible, t_cand, -np.inf).max(axis=-1)
+
+    return shift
 
 
 # The smallest gain whose reciprocal is finite: 1/g overflows below it.
 _MIN_GAIN = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
 
 
-def _waterfill_powers(
-    gains: np.ndarray, probs: np.ndarray, budget: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Waterfill each row of gains: P = (nu - 1/g)+ with probs @ P = budget.
+def _prepare_waterfill(gains: np.ndarray, probs: np.ndarray):
+    """Waterfilling of fixed gains at any budget: fill(budget) -> (powers, nu).
 
+    Each row of powers is P = (nu - 1/g)+ with probs @ P = budget.
     gains is (n,) or (m, n), and every row has the same dead states:
     those whose gain is zero, or so small (below about 5.6e-309) that
     1/g overflows; they get zero power.  The water level nu (one per
-    row) is minus the exact shift of -1/g over the live states.  A
-    budget <= 0 or a gain row with no live entry gives zero power at
+    row) is minus the exact shift of -1/g over the live states
+    (_capped_shift), whose sort is taken here, once; each fill is O(n).
+    A budget <= 0 or a gain row with no live entry gives zero power at
     nu = 0.
     """
     g = np.asarray(gains, dtype=float)
     p = np.asarray(probs, dtype=float)
-    powers = np.zeros_like(g)
     live = (g >= _MIN_GAIN).reshape(-1, g.shape[-1]).all(axis=0)
-    if not (budget > 0) or not live.any():
-        return powers, np.zeros(g.shape[:-1])
-    # Only the live states enter the sort: an infinite 1/g would give a
-    # -inf entry and break the prefix search.
-    inv = 1.0 / g[..., live]
-    nu = -_capped_shift(-inv, p[live], budget)
-    powers[..., live] = np.maximum(nu[..., None] - inv, 0.0)
-    return powers, nu
+    if live.any():
+        # Only the live states enter the sort: an infinite 1/g would give
+        # a -inf entry and break the prefix search.
+        inv = 1.0 / g[..., live]
+        shift = _capped_shift(-inv, p[live])
+
+    def fill(budget: float) -> tuple[np.ndarray, np.ndarray]:
+        powers = np.zeros_like(g)
+        if not (budget > 0) or not live.any():
+            return powers, np.zeros(g.shape[:-1])
+        nu = -shift(budget)
+        powers[..., live] = np.maximum(nu[..., None] - inv, 0.0)
+        return powers, nu
+
+    return fill
+
+
+def _waterfill_powers(
+    gains: np.ndarray, probs: np.ndarray, budget: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Waterfill each row of gains at one budget (_prepare_waterfill)."""
+    return _prepare_waterfill(gains, probs)(budget)
 
 
 def waterfill(gain_dist: Iterable[tuple[float, float]], budget: float) -> WaterfillResult:
@@ -273,7 +296,7 @@ def _project_capped(y: np.ndarray, p: np.ndarray, cap) -> np.ndarray:
     positive is silenced (its shift is meaningless but finite).
     """
     cap = np.asarray(cap, dtype=float)
-    theta = np.maximum(_capped_shift(y, p, cap), 0.0)
+    theta = np.maximum(_capped_shift(y, p)(cap), 0.0)
     return np.maximum(y - theta[..., None], 0.0) * (cap > 0)[..., None]
 
 

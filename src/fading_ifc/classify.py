@@ -26,7 +26,7 @@ from .channel import (
     PowerBudget,
     PowerPolicy,
 )
-from .allocate import _waterfill_powers
+from .allocate import _prepare_waterfill
 
 
 class StateLabel(str, Enum):
@@ -122,6 +122,37 @@ def _state_label_codes(process: FadingProcess) -> np.ndarray:
     )
 
 
+def _evs_check(process: FadingProcess):
+    """evs_condition of one process at any budget, with the powers it used.
+
+    Returns check(budget) -> (EvsCheck, x1, x2), where x1 and x2 are the
+    two users' single-link waterfilling powers at that budget.  Each
+    direct link's gains are sorted once, here (_prepare_waterfill), so a
+    search over budgets costs O(n) per budget and gives the same floats
+    as evs_condition at each.
+    """
+    g11, g12, g21, g22 = process.gain_arrays
+    p = process.prob_array
+    fill1 = _prepare_waterfill(g11, p)
+    fill2 = _prepare_waterfill(g22, p)
+    rx1_interfered = bool((g12 > 0).any())
+    rx2_interfered = bool((g21 > 0).any())
+
+    def check(budget: PowerBudget) -> tuple[EvsCheck, np.ndarray, np.ndarray]:
+        x1, _ = fill1(budget.p1_bar)
+        x2, _ = fill2(budget.p2_bar)
+        lhs = float(p @ np.log2(1.0 + g11 * x1)) + float(p @ np.log2(1.0 + g22 * x2))
+        bounds = []
+        if rx1_interfered:
+            bounds.append(float(p @ np.log2(1.0 + g11 * x1 + g12 * x2)))
+        if rx2_interfered:
+            bounds.append(float(p @ np.log2(1.0 + g21 * x1 + g22 * x2)))
+        rhs = min(bounds) if bounds else math.inf
+        return EvsCheck(lhs=lhs, rhs=rhs, holds=bool(lhs < rhs)), x1, x2
+
+    return check
+
+
 def evs_condition(process: FadingProcess, budget: PowerBudget) -> EvsCheck:
     """Averaged very-strong interference test at the waterfilling policies.
 
@@ -129,19 +160,10 @@ def evs_condition(process: FadingProcess, budget: PowerBudget) -> EvsCheck:
     rhs is the smallest fading-averaged sum capacity among receivers
     that actually see interference (a receiver with an identically zero
     cross gain imposes no constraint).  holds iff lhs < rhs strictly.
+    A search over many budgets of one process should build _evs_check
+    once instead, which sorts the gains once.
     """
-    g11, g12, g21, g22 = process.gain_arrays
-    p = process.prob_array
-    p1, _ = _waterfill_powers(g11, p, budget.p1_bar)
-    p2, _ = _waterfill_powers(g22, p, budget.p2_bar)
-    lhs = float(p @ np.log2(1.0 + g11 * p1)) + float(p @ np.log2(1.0 + g22 * p2))
-    bounds = []
-    if (g12 > 0).any():
-        bounds.append(float(p @ np.log2(1.0 + g11 * p1 + g12 * p2)))
-    if (g21 > 0).any():
-        bounds.append(float(p @ np.log2(1.0 + g21 * p1 + g22 * p2)))
-    rhs = min(bounds) if bounds else math.inf
-    return EvsCheck(lhs=lhs, rhs=rhs, holds=bool(lhs < rhs))
+    return _evs_check(process)(budget)[0]
 
 
 def um_orientation(process: FadingProcess) -> int | None:

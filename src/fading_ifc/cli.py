@@ -36,9 +36,9 @@ from .channel import (
 from .classify import (
     ChannelSubclass,
     Sidedness,
+    _evs_check,
     channel_sidedness,
     classify_channel,
-    evs_condition,
 )
 from .cmac import WeightPair, identify_case, region_boundary, sum_capacity
 from . import ifc
@@ -259,11 +259,14 @@ def _evs_pbar_max(process: FadingProcess) -> float:
     """Largest symmetric budget keeping the very-strong condition true.
 
     Bisection at 1e-3 resolution, capped at 100; returns 0.0 (infeasible)
-    when the condition already fails at the 0.01 floor.
+    when the condition already fails at the 0.01 floor.  Every step
+    evaluates evs_condition through one _evs_check, which sorts the
+    gains once for the whole bisection.
     """
+    check = _evs_check(process)
 
     def holds(pbar: float) -> bool:
-        return evs_condition(process, PowerBudget(p1_bar=pbar, p2_bar=pbar)).holds
+        return check(PowerBudget(p1_bar=pbar, p2_bar=pbar))[0].holds
 
     lo = _PBAR_FLOOR
     if not holds(lo):

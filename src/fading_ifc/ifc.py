@@ -52,7 +52,7 @@ from .allocate import (
     _waterfill_powers,
     kkt_residual,
 )
-from .classify import Sidedness, channel_sidedness, evs_condition, um_orientation
+from .classify import Sidedness, _evs_check, channel_sidedness, um_orientation
 from .cmac import _sum_capacity_engine
 
 
@@ -159,7 +159,7 @@ def evs_sum_capacity(
     capacity is the rectangle corner.  Raises NotEVS when the defining
     condition fails.
     """
-    check = evs_condition(process, budget)
+    check, x1, x2 = _evs_check(process)(budget)
     if not check.holds:
         raise NotEVS(
             "very-strong condition fails: interference-free sum "
@@ -168,8 +168,6 @@ def evs_sum_capacity(
         )
     g11, _, _, g22 = process.gain_arrays
     p = process.prob_array
-    x1, _ = _waterfill_powers(g11, p, budget.p1_bar)
-    x2, _ = _waterfill_powers(g22, p, budget.p2_bar)
     r1 = _erate(p, g11 * x1)
     r2 = _erate(p, g22 * x2)
     return r1 + r2, PowerPolicy.from_arrays(x1, x2), (r1, r2)
@@ -286,15 +284,18 @@ def _face_grid(faces, evaluate, floor: int):
     """Maximize evaluate over a product of budget faces, refined twice.
 
     Each face is (probs, cap, m): the points x >= 0 with probs @ x = cap,
-    gridded with m points per free coordinate (_face_points).  After
-    each of the three passes every face's window closes to one coarse
-    cell, (cap / min probs) / (m - 1), on each side of the best point so
-    far, and m halves, but not below ``floor``.  evaluate(*points) takes
-    one (K, n_j) array per face and returns K values.  Returns the best
-    value and the best point of each face.
+    gridded with m points per free coordinate (_face_points).  The first
+    pass spans the whole face, of width cap / min probs.  After each
+    pass every face's window closes to one cell of the window just
+    searched, its width / (m - 1), on each side of the best point so
+    far, and m halves, but not below ``floor``; so each pass is spaced
+    more finely than the one before while m >= 4.  evaluate(*points)
+    takes one (K, n_j) array per face and returns K values.  Returns the
+    best value and the best point of each face.
     """
     best_v, best = -np.inf, None
     windows = [(None, None)] * len(faces)
+    widths = [cap / probs.min() for probs, cap, _ in faces]
     counts = [m for _, _, m in faces]
     for _ in range(3):
         grids = [
@@ -310,9 +311,10 @@ def _face_grid(faces, evaluate, floor: int):
             if vals[i] > best_v:
                 best_v, best = float(vals[i]), [g[k[i]] for g, k in zip(grids, idx)]
         windows = []
-        for (probs, cap, _), m, c in zip(faces, counts, best):
-            span = (cap / probs.min()) / max(m - 1, 1)
+        for j, (m, c) in enumerate(zip(counts, best)):
+            span = widths[j] / max(m - 1, 1)
             windows.append((c[:-1] - span, c[:-1] + span))
+            widths[j] = 2.0 * span
         counts = [max(floor, m // 2 + 1) for m in counts]
     return best_v, best
 
@@ -674,9 +676,8 @@ def hk_optimize(
     zeros = np.zeros(n)
     rates = _hk_rates(process)
 
-    if evs_condition(process, budget).holds:
-        x1, _ = _waterfill_powers(g11, p, budget.p1_bar)
-        x2, _ = _waterfill_powers(g22, p, budget.p2_bar)
+    evs, x1, x2 = _evs_check(process)(budget)
+    if evs.holds:
         s1, s2 = (o.value(x1, x2, zeros) for o in rates)
         if s1 < s2:
             alloc = HkAllocation(PowerPolicy.from_arrays(x1, x2), (0.0,) * n)

@@ -15,6 +15,7 @@ from fading_ifc.channel import (
     PowerPolicy,
     make_discrete_channel,
 )
+from fading_ifc.classify import evs_condition
 
 LN2 = float(np.log(2.0))
 
@@ -115,6 +116,30 @@ def waterfill_bisect(gains, probs, budget: float, iters: int = 200) -> np.ndarra
         else:
             lo = nu
     return np.maximum(0.5 * (lo + hi) - inv, 0.0)
+
+
+def evs_pbar_max_bisection(process: FadingProcess) -> float:
+    """Largest symmetric budget at which evs_condition holds, by plain bisection.
+
+    The schedule of the CLI's search (floor 0.01, cap 100, resolution
+    1e-3), with one fresh public evs_condition call per step.
+    """
+
+    def holds(pbar: float) -> bool:
+        return evs_condition(process, PowerBudget(pbar, pbar)).holds
+
+    lo, hi = 0.01, 100.0
+    if not holds(lo):
+        return 0.0
+    if holds(hi):
+        return hi
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def mac_iterative_waterfill(process: FadingProcess, receiver: int, budget: PowerBudget,

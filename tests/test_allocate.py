@@ -10,6 +10,7 @@ from fading_ifc.allocate import (
     PerStateMinRate,
     RateObjective,
     _ascend,
+    _prepare_waterfill,
     _project_capped,
     _waterfill_powers,
     dual_bound,
@@ -90,6 +91,31 @@ class TestWaterfill:
         assert powers.shape == np.shape(gains)
         np.testing.assert_array_equal(powers, 0.0)
         np.testing.assert_array_equal(nu, 0.0)
+
+    @pytest.mark.parametrize(
+        "gains",
+        [
+            [0.0, 1e-310, 0.3, 2.0, 7.0],
+            [[0.0, 1e-310, 0.3, 2.0, 7.0], [0.0, 1e-310, 5.0, 0.1, 1.0], [0.0, 1e-310, 1e-3, 1e3, 1.0]],
+            [0.0, 1e-310, 0.0, 1e-310, 0.0],
+        ],
+    )
+    def test_prepared_fill_matches_one_shot(self, gains):
+        # One prepared fill serves budgets in any order, each with the
+        # floats of a fresh one-shot waterfill; a caller writing into one
+        # result does not reach the next.
+        g = np.array(gains)
+        p = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fill = _prepare_waterfill(g, p)
+            for budget in (1.0, 0.0, 1e4, 1e-12, 1.0, 0.0, 1e-12):
+                powers, nu = fill(budget)
+                once, once_nu = _waterfill_powers(g, p, budget)
+                np.testing.assert_array_equal(powers, once)
+                np.testing.assert_array_equal(nu, once_nu)
+                assert powers.shape == g.shape and np.shape(nu) == g.shape[:-1]
+                powers[...] = -1.0
 
     def test_unrepresentable_reciprocal_gain_is_dead(self):
         # 1/g overflows below about 5.6e-309: such a state gets no power,

@@ -1,13 +1,17 @@
 """State labeling, sidedness, and channel sub-class precedence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from fading_ifc.allocate import _waterfill_powers
 from fading_ifc.channel import FadingState, PowerBudget, PowerPolicy
 from fading_ifc.classify import (
     ChannelSubclass,
     Sidedness,
     StateLabel,
+    _evs_check,
     channel_sidedness,
     classify_channel,
     classify_state,
@@ -87,6 +91,26 @@ class TestEvsCondition:
         proc = channel([(1, 30, 30, 1), (1, 0.5, 0.5, 1)], [0.9, 0.1])
         assert evs_condition(proc, B11).holds
         assert classify_channel(proc, B11).subclass is ChannelSubclass.EVS
+
+
+    def test_prepared_check_matches_per_budget_calls(self):
+        # One _evs_check serves every budget of a process, in any order:
+        # zero and subnormal gains, zero and unequal budgets.
+        proc = channel(
+            [(1e-310, 2, 3, 1), (0.7, 5, 0.2, 0), (2, 1, 4, 1e-310), (1, 0.5, 0.5, 3)],
+            [0.1, 0.2, 0.3, 0.4],
+        )
+        g11, _, _, g22 = proc.gain_arrays
+        p = proc.prob_array
+        check = _evs_check(proc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b1, b2 in [(1, 1), (0, 0), (0, 2), (1e-12, 1e4), (3, 1e-3), (50, 0.2), (1, 1)]:
+                budget = PowerBudget(b1, b2)
+                evs, x1, x2 = check(budget)
+                assert evs == evs_condition(proc, budget)
+                np.testing.assert_array_equal(x1, _waterfill_powers(g11, p, b1)[0])
+                np.testing.assert_array_equal(x2, _waterfill_powers(g22, p, b2)[0])
 
 
 class TestUmOrientation:

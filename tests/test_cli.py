@@ -8,6 +8,11 @@ import sys
 import pytest
 
 import fading_ifc
+from fading_ifc.channel import PowerBudget, sample_rayleigh_channel
+from fading_ifc.classify import evs_condition
+from fading_ifc.cli import _evs_pbar_max
+
+from oracles import channel, evs_pbar_max_bisection
 
 # The CLI runs in a child process, which sees the package wherever this
 # process found it, installed or not.
@@ -241,6 +246,22 @@ class TestFigures:
             r_hk, r_ind, r_outer = map(float, fields[1:4])
             assert r_ind <= r_hk + 1e-9
             assert r_hk <= r_outer + 1e-9
+
+
+class TestEvsPbarMax:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sigma2", [2.0, 3.5, 6.0])
+    def test_matches_plain_bisection(self, sigma2, seed):
+        proc = sample_rayleigh_channel(sigma2, n_samples=5000, seed=seed)
+        pbar = _evs_pbar_max(proc)
+        assert pbar == evs_pbar_max_bisection(proc)
+        assert 0.01 <= pbar < 100.0
+        assert evs_condition(proc, PowerBudget(pbar, pbar)).holds
+        above = pbar + 1.01e-3
+        assert not evs_condition(proc, PowerBudget(above, above)).holds
+
+    def test_capped_at_100(self):
+        assert _evs_pbar_max(channel([(1, 1e6, 1e6, 1)])) == 100.0
 
 
 class TestArgumentHandling:

@@ -14,6 +14,7 @@ from fading_ifc.ifc import (
     NotUniformlyMixed,
     NotUniformlyStrong,
     NotUniformlyWeak,
+    _face_grid,
     evs_sum_capacity,
     hk_optimize,
     hk_region_bounds,
@@ -35,6 +36,29 @@ B11 = PowerBudget(1.0, 1.0)
 US_TWO_STATE = channel([(1, 1.1025, 6.25, 1), (1, 6.25, 1.1025, 1)])
 UW_ONE_SIDED = channel([(1, 0.25, 0, 1)])
 HYBRID_ONE_SIDED = channel([(1, 4, 0, 1), (1, 0.25, 0, 1)])
+
+
+class TestFaceGrid:
+    @pytest.mark.parametrize(
+        "faces, targets",
+        [
+            ([(np.array([0.5, 0.5]), 1.0, 33)], [0.7431]),
+            ([(np.array([0.3, 0.7]), 2.0, 21), (np.array([0.5, 0.5]), 1.0, 11)], [2.2113, 1.1371]),
+        ],
+    )
+    def test_each_pass_is_finer_than_the_last(self, faces, targets):
+        seen = []
+
+        def evaluate(*points):
+            seen.append([x[:, 0].copy() for x in points])
+            return -sum((x[:, 0] - t) ** 2 for x, t in zip(points, targets))
+
+        best, point = _face_grid(faces, evaluate, floor=9)
+        assert len(seen) == 3
+        for j, target in enumerate(targets):
+            spacing = [np.diff(np.unique(xs[j])).min() for xs in seen]
+            assert spacing[0] > spacing[1] > spacing[2]
+            assert abs(point[j][0] - target) <= spacing[2]
 
 
 class TestOuterBound:

@@ -151,11 +151,16 @@ def main() -> int:
         "numpy": np.__version__,
         "measurements": measure(),
     }
-    doc = {"what": __doc__.split("\n\n")[0], "entries": []}
+    entries = []
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc["entries"] = [e for e in doc["entries"] if e["label"] != args.label] + [entry]
+            entries = json.load(fh)["entries"]
+    # "what" is rewritten from the docstring on every run, so it names
+    # what the script times now.
+    doc = {
+        "what": __doc__.split("\n\n")[0],
+        "entries": [e for e in entries if e["label"] != args.label] + [entry],
+    }
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
