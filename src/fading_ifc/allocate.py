@@ -102,20 +102,21 @@ def _capped_shift(y: np.ndarray, p: np.ndarray):
     caps gives the same floats as one call per cap.  Needs finite y of
     shape (..., n); shift takes cap > 0, a scalar or one cap per row.
     """
-    order = y.argsort(axis=-1)[..., ::-1]
+    ps = p[y.argsort(axis=-1)[..., ::-1]]
     ys = np.sort(y, axis=-1)[..., ::-1]
-    ps = p[order]
     cum_py = (ps * ys).cumsum(axis=-1)
     cum_p = ps.cumsum(axis=-1)
 
     def shift(cap) -> np.ndarray:
-        t_cand = (cum_py - np.asarray(cap)[..., None]) / cum_p
+        t_cand = cum_py - np.asarray(cap)[..., None]
+        t_cand /= cum_p
         admissible = t_cand <= ys
         # The one-entry prefix always qualifies in exact arithmetic, but a
         # cap far below the entries' spacing can round its candidate above
         # them.
         admissible[..., 0] = True
-        return np.where(admissible, t_cand, -np.inf).max(axis=-1)
+        t_cand[~admissible] = -np.inf
+        return t_cand.max(axis=-1)
 
     return shift
 
@@ -142,16 +143,17 @@ def _prepare_waterfill(gains: np.ndarray, probs: np.ndarray):
     if live.any():
         # Only the live states enter the sort: an infinite 1/g would give
         # a -inf entry and break the prefix search.
-        inv = 1.0 / g[..., live]
-        shift = _capped_shift(-inv, p[live])
+        shift = _capped_shift(-1.0 / g[..., live], p[live])
 
     def fill(budget: float) -> tuple[np.ndarray, np.ndarray]:
-        powers = np.zeros_like(g)
         if not (budget > 0) or not live.any():
-            return powers, np.zeros(g.shape[:-1])
+            return np.zeros_like(g), np.zeros(g.shape[:-1])
         nu = -shift(budget)
-        powers[..., live] = np.maximum(nu[..., None] - inv, 0.0)
-        return powers, nu
+        # 1/g is recomputed, not kept: a fill then holds no array of its
+        # own between calls.  Dead states stay at zero.
+        powers = np.divide(1.0, g, out=np.zeros_like(g), where=live)
+        np.subtract(nu[..., None], powers, out=powers, where=live)
+        return np.maximum(powers, 0.0, out=powers), nu
 
     return fill
 
