@@ -149,8 +149,8 @@ def _prepare_waterfill(gains: np.ndarray, probs: np.ndarray):
         if not (budget > 0) or not live.any():
             return np.zeros_like(g), np.zeros(g.shape[:-1])
         nu = -shift(budget)
-        # 1/g is recomputed, not kept: a fill then holds no array of its
-        # own between calls.  Dead states stay at zero.
+        # 1/g is recomputed here rather than kept, so that only the sorted
+        # prefix is held between fills.  Dead states stay at zero.
         powers = np.divide(1.0, g, out=np.zeros_like(g), where=live)
         np.subtract(nu[..., None], powers, out=powers, where=live)
         return np.maximum(powers, 0.0, out=powers), nu

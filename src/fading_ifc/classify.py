@@ -138,15 +138,26 @@ def _evs_check(process: FadingProcess):
     rx1_interfered = bool((g12 > 0).any())
     rx2_interfered = bool((g21 > 0).any())
 
+    def rate(*terms) -> float:
+        # E[log2(1 + g x + ...)] over (g, x) pairs, summed left to right
+        # in one buffer: the same floats as the plain expression, with
+        # fewer n-arrays alive at once.
+        (g, x), *rest = terms
+        acc = g * x
+        acc += 1.0
+        for g, x in rest:
+            acc += g * x
+        return float(p @ np.log2(acc, out=acc))
+
     def check(budget: PowerBudget) -> tuple[EvsCheck, np.ndarray, np.ndarray]:
         x1, _ = fill1(budget.p1_bar)
         x2, _ = fill2(budget.p2_bar)
-        lhs = float(p @ np.log2(1.0 + g11 * x1)) + float(p @ np.log2(1.0 + g22 * x2))
+        lhs = rate((g11, x1)) + rate((g22, x2))
         bounds = []
         if rx1_interfered:
-            bounds.append(float(p @ np.log2(1.0 + g11 * x1 + g12 * x2)))
+            bounds.append(rate((g11, x1), (g12, x2)))
         if rx2_interfered:
-            bounds.append(float(p @ np.log2(1.0 + g21 * x1 + g22 * x2)))
+            bounds.append(rate((g21, x1), (g22, x2)))
         rhs = min(bounds) if bounds else math.inf
         return EvsCheck(lhs=lhs, rhs=rhs, holds=bool(lhs < rhs)), x1, x2
 

@@ -669,8 +669,7 @@ def hk_optimize(
         value, alloc, case = hk_optimize(process.swap_users(), _swapped_budget(budget))
         return value, _swapped_allocation(alloc), case
     _require_receiver1_sided(process)
-    g11, g12, _, g22 = process.gain_arrays
-    p = process.prob_array
+    _, g12, _, g22 = process.gain_arrays
     n = process.n_states
     strong = g12 >= g22
     zeros = np.zeros(n)
