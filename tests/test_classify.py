@@ -92,7 +92,6 @@ class TestEvsCondition:
         assert evs_condition(proc, B11).holds
         assert classify_channel(proc, B11).subclass is ChannelSubclass.EVS
 
-
     def test_prepared_check_matches_per_budget_calls(self):
         # One _evs_check serves every budget of a process, in any order:
         # zero and subnormal gains, zero and unequal budgets.
