@@ -76,7 +76,8 @@ class OptimizerReport:
     """A policy, its objective value in bits, and optimality evidence.
 
     ``iterations`` counts the solver's main steps: ascent steps for
-    maximize_min_concave; for mac_opportunistic_waterfill, the ratio
+    maximize_min_concave, 0 when the polish from its start already meets
+    tol and no ascent ran; for mac_opportunistic_waterfill, the ratio
     bisection steps plus the polish rounds when both users transmit,
     1 when one user waterfills alone and 0 when both are silent.
     ``converged`` means ``kkt_residual`` is at most the caller's tol.
@@ -123,6 +124,9 @@ def _capped_shift(y: np.ndarray, p: np.ndarray):
 
 # The smallest gain whose reciprocal is finite: 1/g overflows below it.
 _MIN_GAIN = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+# The largest received power g * nu a waterfill may reach: a rate term
+# adds 1 and at most three such powers, and the sum must stay finite.
+_MAX_RECEIVED = float(np.finfo(float).max) / 4
 
 
 def _prepare_waterfill(gains: np.ndarray, probs: np.ndarray):
@@ -135,7 +139,9 @@ def _prepare_waterfill(gains: np.ndarray, probs: np.ndarray):
     row) is minus the exact shift of -1/g over the live states
     (_capped_shift), whose sort is taken here, once; each fill is O(n).
     A budget <= 0 or a gain row with no live entry gives zero power at
-    nu = 0.
+    nu = 0.  A budget so large that some row's received power g * nu
+    is not finite (or leaves no room to add rate terms) raises
+    PreconditionError naming the budget.
     """
     g = np.asarray(gains, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -144,11 +150,21 @@ def _prepare_waterfill(gains: np.ndarray, probs: np.ndarray):
         # Only the live states enter the sort: an infinite 1/g would give
         # a -inf entry and break the prefix search.
         shift = _capped_shift(-1.0 / g[..., live], p[live])
+        g_top = g[..., live].max(axis=-1)
 
     def fill(budget: float) -> tuple[np.ndarray, np.ndarray]:
         if not (budget > 0) or not live.any():
             return np.zeros_like(g), np.zeros(g.shape[:-1])
-        nu = -shift(budget)
+        # A prefix whose candidate shift overflows is never the one chosen
+        # unless the level itself is out of range, which the check catches.
+        with np.errstate(over="ignore"):
+            nu = -shift(budget)
+            top = nu * g_top
+        if not (top <= _MAX_RECEIVED).all():
+            raise PreconditionError(
+                f"budget {budget:g} is too large to waterfill: the received power "
+                f"g * nu reaches {top.max():g}, beyond what a rate can represent"
+            )
         # 1/g is recomputed here rather than kept, so that only the sorted
         # prefix is held between fills.  Dead states stay at zero.
         powers = np.divide(1.0, g, out=np.zeros_like(g), where=live)
@@ -550,8 +566,8 @@ def _epigraph_polish(p, objectives, b1, b2, *powers, maxiter=300, held=None):
     return None if out is None else out[:-1]
 
 
-def _ascend(objectives, x, project, p: np.ndarray, budget: PowerBudget, steps: int,
-            target: float | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+def _ascend(objectives, x, project, p: np.ndarray, budget: PowerBudget,
+            steps: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Projected supergradient ascent on min(objectives), one row per start.
 
     x is (powers, starts, n): one array of start rows per power
@@ -560,10 +576,9 @@ def _ascend(objectives, x, project, p: np.ndarray, budget: PowerBudget, steps: i
     minimizing objective, scaled by 1/p (the p-weighted metric), with
     step c/sqrt(t), c the larger budget (at least 1e-3).  Iterates are
     averaged over doubling windows, and each row keeps the best point
-    among its raw iterates and window averages.  ``target`` stops the
-    whole run once some row's best value reaches it.  Returns the best
-    values (starts,), the best points (powers, starts, n) and the number
-    of steps taken.
+    among its raw iterates and window averages.  Returns the best values
+    (starts,), the best points (powers, starts, n) and the number of
+    steps taken.
     """
     # All objectives' branches side by side in one tensor, so that one
     # evaluation serves every objective and every row.
@@ -585,28 +600,25 @@ def _ascend(objectives, x, project, p: np.ndarray, budget: PowerBudget, steps: i
     best_v = np.full(x.shape[1], -np.inf)
     best = x.copy()
 
-    def keep(z, vals) -> bool:
+    def keep(z, vals) -> None:
         v = vals.min(axis=1)
         better = v > best_v
         np.copyto(best_v, v, where=better)
         np.copyto(best, z, where=better[:, None])
-        return target is not None and bool(best_v.max() >= target)
 
     avg = x.copy()
     window_start = 1
     next_check = 16
     for t in range(1, steps + 1):
         received, rates, vals = evaluate(x)
-        if keep(x, vals):
-            return best_v, best, t
+        keep(x, vals)
         # Each row follows the branches of its own minimizing objective.
         mine = owner == vals.argmin(axis=1)[:, None]
         g = fused._follow(received, np.where(mine[:, :, None], rates, np.inf))
         x = project(x + (scale / math.sqrt(t)) * g / p)
         avg += (x - avg) / (t - window_start + 1)
         if t == next_check:
-            if keep(avg, evaluate(avg)[2]):
-                return best_v, best, t
+            keep(avg, evaluate(avg)[2])
             if t >= 4 * window_start:
                 window_start = t
                 avg = x.copy()
@@ -621,16 +633,17 @@ def maximize_min_concave(
     tol: float = 1e-6,
     *,
     max_iters: int = 50000,
-    target_value: float | None = None,
 ) -> OptimizerReport:
     """Maximize min_i f_i(P) over feasible policies, f_i concave.
 
-    Projected supergradient ascent (_ascend) from the uniform policy at
-    full budget, followed by an epigraph SLSQP polish.
-    ``target_value`` stops the search early once the best value is
-    within 6e-4 of the target (used by callers that only need to know
-    whether the optimum exceeds a threshold).  Concavity of each
-    objective is the caller's responsibility.
+    Starts from the uniform policy at full budget.  For n <= 400 states
+    an epigraph SLSQP polish runs from there first, and its point is
+    returned, after no ascent step, when its bundle KKT residual
+    (kkt_residual_bundle) is at most tol.  Otherwise projected
+    supergradient ascent (_ascend) runs from the same start for
+    max_iters steps, followed by the same polish from its best point
+    (n <= 400).  Concavity of each objective is the caller's
+    responsibility.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -640,30 +653,33 @@ def maximize_min_concave(
     p = process.prob_array
     n = process.n_states
     b1, b2 = budget.p1_bar, budget.p2_bar
-    target = None if target_value is None else target_value - 6e-4
+    start = np.array([[np.full(n, b1)], [np.full(n, b2)]])
+
+    def report(x1, x2, value, iterations):
+        policy = PowerPolicy.from_arrays(x1, x2)
+        residual = kkt_residual_bundle(process, policy, objs, budget)
+        return OptimizerReport(policy, value, iterations, residual, bool(residual <= tol))
+
+    if n <= 400:
+        out = _epigraph_polish(p, objs, b1, b2, start[0, 0], start[1, 0])
+        if out is not None:
+            rep = report(*out, min(o.value(*out) for o in objs), 0)
+            if rep.converged:
+                return rep
     caps = np.array([[b1], [b2]])
     vals, points, iterations = _ascend(
-        objs, np.array([[np.full(n, b1)], [np.full(n, b2)]]),
-        lambda x: _project_capped(x, p, caps), p, budget, max(max_iters, 1), target,
+        objs, start, lambda x: _project_capped(x, p, caps), p, budget, max(max_iters, 1)
     )
     best_val = float(vals[0])
     best = tuple(points[:, 0])
-    if n <= 400 and not (target is not None and best_val >= target):
+    if n <= 400:
         out = _epigraph_polish(p, objs, b1, b2, best[0], best[1])
         if out is not None:
             v = min(o.value(*out) for o in objs)
             if v > best_val:
                 best_val = v
                 best = out
-    policy = PowerPolicy.from_arrays(best[0], best[1])
-    residual = kkt_residual_bundle(process, policy, objs, budget)
-    return OptimizerReport(
-        policy=policy,
-        value=best_val,
-        iterations=iterations,
-        kkt_residual=residual,
-        converged=bool(residual <= tol),
-    )
+    return report(best[0], best[1], best_val, iterations)
 
 
 def mac_opportunistic_waterfill(

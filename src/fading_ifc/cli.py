@@ -11,7 +11,8 @@ rate-splitting scheme on a hybrid binary channel.
 
 Exit codes: 0 success, 1 internal or optimizer non-convergence, 2
 malformed input (the message names the offending field), 3 scheme
-precondition failure.
+precondition failure, or a budget too large to waterfill (the message
+names the budget).
 """
 
 from __future__ import annotations

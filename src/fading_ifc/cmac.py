@@ -4,21 +4,22 @@ Both receivers must decode both messages, so each fading-averaged
 receiver imposes a pentagon of rate pairs and the channel operates in
 the intersection.  This module computes the pentagons, the exact
 fixed-policy sum rate and weighted-rate maximum over the intersection,
-an eleven-label taxonomy of which bound is the bottleneck, and the
-ordered per-case algorithm for the sum capacity over power policies.
+an eleven-label taxonomy of which bound is the bottleneck, and the sum
+capacity over power policies.
 
 The taxonomy compares four fading-averaged rates at a policy:
 S1 (both direct links), S2 (both cross links), S3a (sum capacity at
 receiver 2), S3b (sum capacity at receiver 1).  Plain cases C1, C2,
 C3a, C3b have a strict bottleneck; C3c ties the two receiver sums; the
-B labels tie a link-sum bound with a receiver bound.  The sum-capacity
-search optimizes each case in a fixed order and accepts the first
-optimizer output satisfying its own case conditions, then certifies
-the value: by a weak-duality bound when one rate defines the case
-(C1, C2, C3a, C3b), otherwise, or when that bound is inconclusive, by
-a direct concave maximization of the polytope sum rate.  Restricted
-variants (used by the interference-channel layer)
-drop S2 or one receiver's sum bound from every condition.
+B labels tie a link-sum bound with one or both receiver bounds.  The
+sum-capacity search has two paths.  In a plain case one bound binds,
+and its optimal policy is closed form (waterfilling, or opportunistic
+multiuser waterfilling at one receiver); the candidate is accepted when
+its case conditions hold and a weak-duality bound certifies it.  Every
+other answer, the ties above all, is the maximum of the min of the
+polytope's concave pieces, found in one direct maximization and then
+labelled.  Restricted variants (used by the interference-channel
+layer) drop S2 or one receiver's sum bound from every condition.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .channel import (
 from .allocate import (
     RateObjective,
     _erate,
-    _slsqp_polish,
     _waterfill_powers,
     dual_bound,
     kkt_multipliers,
@@ -53,7 +53,6 @@ CASE_EQ_TOL = 1e-9
 # The internal engine accepts equality cases a little looser because its
 # candidates come from iterative solvers.
 _ENGINE_EQ_TOL = 1e-7
-_TRIPLE_EQ_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -150,18 +149,19 @@ def case_sum_rates(process: FadingProcess, policy: PowerPolicy) -> CaseSumRates:
 
 _FULL_ACTIVE = ("s1", "s2", "s3a", "s3b")
 
+# Three-way ties, then two-way ties, then strict bottlenecks (_match_case).
 _CANONICAL_ORDER = (
-    CaseLabel.C1,
-    CaseLabel.C2,
-    CaseLabel.C3a,
-    CaseLabel.C3b,
+    CaseLabel.B1_3c,
+    CaseLabel.B2_3c,
     CaseLabel.C3c,
     CaseLabel.B1_3a,
     CaseLabel.B2_3a,
     CaseLabel.B1_3b,
     CaseLabel.B2_3b,
-    CaseLabel.B1_3c,
-    CaseLabel.B2_3c,
+    CaseLabel.C1,
+    CaseLabel.C2,
+    CaseLabel.C3a,
+    CaseLabel.C3b,
 )
 
 
@@ -247,8 +247,14 @@ def _match_case(
     """First label in canonical order whose conditions hold, else None.
 
     In exact arithmetic the conditions are mutually exclusive; with
-    floating point the equality windows can overlap a strict
-    comparison, and the canonical order resolves the tie.
+    floating point an equality window can overlap a strict comparison
+    or a smaller tie.  The order tries the labels with more tied bounds
+    first: at a policy where bounds are tied exactly, round-off puts one
+    of them a few ulps below the others, and the strict label (or a
+    two-way tie standing for a three-way one) would then read the
+    round-off as the bottleneck.  Every tie label requires its tied
+    bounds to be the bottleneck, so the order changes nothing outside
+    the windows.
     """
     for label in _CANONICAL_ORDER:
         if _case_condition(label, rates, active, eq):
@@ -268,73 +274,6 @@ def identify_case(process: FadingProcess, policy: PowerPolicy) -> CaseLabel:
             "tighten the solver tolerance that produced it"
         )
     return label
-
-
-def _blend_candidate(
-    process: FadingProcess,
-    budget: PowerBudget,
-    obj_a: RateObjective,
-    obj_b: RateObjective,
-    d_at_a_max: float,
-    d_at_b_max: float,
-    warm: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Equality-case optimizer: maximize (1-nu) f_a + nu f_b, bisecting nu
-    until the two rates coincide.
-
-    d = f_b - f_a at a blend maximizer is nondecreasing in nu, so a sign
-    bracket between the endpoint maximizers (supplied by the caller)
-    certifies the equality locus is crossed; without it the case cannot
-    occur and None is returned.  When the bisection misses the equality
-    or SLSQP fails on a blend, a two-objective max-min takes over.
-    """
-    if d_at_a_max > 0 or d_at_b_max < 0:
-        return None
-    p = process.prob_array
-    n = process.n_states
-    b1, b2 = budget.p1_bar, budget.p2_bar
-    x1, x2 = np.asarray(warm[0], dtype=float).copy(), np.asarray(warm[1], dtype=float).copy()
-    lo, hi = 0.0, 1.0
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(60):
-        nu = 0.5 * (lo + hi)
-        mixed = RateObjective(
-            p,
-            [(w * (1.0 - nu), *c) for w, *c in zip(obj_a.weights[0], *obj_a.coef[:, 0])]
-            + [(w * nu, *c) for w, *c in zip(obj_b.weights[0], *obj_b.coef[:, 0])],
-        )
-        out = _slsqp_polish(
-            p,
-            b1,
-            b2,
-            lambda z, f=mixed: -f.value(z[:n], z[n:]),
-            lambda z, f=mixed: -np.concatenate(f.gradient(z[:n], z[n:])),
-            (x1, x2),
-            maxiter=200,
-        )
-        if out is None:
-            break
-        x1, x2, _ = out
-        d = obj_b.value(x1, x2) - obj_a.value(x1, x2)
-        if best is None or abs(d) < best[0]:
-            best = (abs(d), x1.copy(), x2.copy())
-        if abs(d) <= 1e-10:
-            break
-        if d > 0:
-            hi = nu
-        else:
-            lo = nu
-    if best is None or best[0] > 1e-8:
-        # The blend maximizer jumped across the equality, or SLSQP failed;
-        # go at the equality directly as a two-objective max-min.
-        rep = maximize_min_concave(
-            process, [obj_a, obj_b], budget, 1e-6, max_iters=3000
-        )
-        a1, a2 = rep.policy.arrays
-        d = abs(obj_b.value(a1, a2) - obj_a.value(a1, a2))
-        if best is None or d < best[0]:
-            best = (d, a1, a2)
-    return best[1], best[2]
 
 
 def _engine_objectives(process: FadingProcess, use_s2: bool, use_s3a: bool, use_s3b: bool):
@@ -374,21 +313,21 @@ def _sum_capacity_engine(
     use_s3b: bool = True,
     tol: float = 1e-6,
 ) -> tuple[float, PowerPolicy, CaseLabel]:
-    """Ordered per-case sum-capacity search over power policies.
+    """Sum capacity over power policies: closed forms, then one direct solve.
 
-    Candidates: waterfilling for C1/C2, opportunistic multiuser
-    waterfilling for C3a/C3b, pair blends for C3c and the two-bound
-    ties, a direct three-objective max-min for the triple ties, then a
-    full polytope maximization as fallback.  The first candidate that
-    satisfies its own case conditions is accepted, after two audits.
-    Its case rate must equal the polytope sum rate at the candidate
-    policy within 1e-7.  And no policy may beat it by more than 1e-3
-    bits: for a single defining rate this is proved by the dual bound
-    of that rate at the candidate's KKT multipliers (the rate is one
-    piece of the polytope, so it bounds the polytope's maximum too);
-    for the ties, or when the bound is None or above the value plus
-    1e-3, a direct concave maximization of the polytope must not reach
-    past it, or ConvergenceError is raised.
+    A single-bound case (C1, C2, C3a, C3b) has a closed-form optimum for
+    its bound: waterfilling on the direct or cross links, or
+    opportunistic multiuser waterfilling at one receiver.  Each candidate
+    is accepted when its own case conditions hold, its case rate equals
+    the polytope sum rate at the candidate within 1e-7, and the dual
+    bound of that rate at the candidate's KKT multipliers is within 1e-3
+    of the value (the rate is one piece of the polytope, so the bound
+    caps the polytope's maximum too).  Otherwise several bounds are tied
+    at the optimum (C3c and the B labels) or no certificate holds, and
+    the polytope's min of concave pieces is maximized directly in one
+    maximize_min_concave call, whose answer is labelled at progressively
+    looser equality tolerance.  ConvergenceError is raised when that
+    call's bundle KKT residual exceeds 1e-3 or no label matches.
     """
     if not (use_s3a or use_s3b):
         raise ValueError("at least one receiver sum bound must stay active")
@@ -399,12 +338,7 @@ def _sum_capacity_engine(
     objs, active, polytope = _engine_objectives(process, use_s2, use_s3a, use_s3b)
 
     def rates_of(x1, x2) -> CaseSumRates:
-        return CaseSumRates(
-            s1=objs["s1"].value(x1, x2),
-            s2=objs["s2"].value(x1, x2),
-            s3a=objs["s3a"].value(x1, x2),
-            s3b=objs["s3b"].value(x1, x2),
-        )
+        return CaseSumRates(*(objs[name].value(x1, x2) for name in CaseSumRates._fields))
 
     def polytope_value(x1, x2) -> float:
         return min(o.value(x1, x2) for o in polytope)
@@ -416,142 +350,35 @@ def _sum_capacity_engine(
         except PreconditionError:
             return np.zeros(n), np.zeros(n)
 
-    # Endpoint candidates double as blend brackets.
-    cand: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    cand["s1"] = (_waterfill_powers(g11, p, b1)[0], _waterfill_powers(g22, p, b2)[0])
+    def links(ga, gb):
+        return _waterfill_powers(ga, p, b1)[0], _waterfill_powers(gb, p, b2)[0]
+
+    singles = [(CaseLabel.C1, "s1", links(g11, g22))]
     if use_s2:
-        cand["s2"] = (_waterfill_powers(g21, p, b1)[0], _waterfill_powers(g12, p, b2)[0])
+        singles.append((CaseLabel.C2, "s2", links(g21, g12)))
     if use_s3a:
-        cand["s3a"] = mac_candidate(2)
+        singles.append((CaseLabel.C3a, "s3a", mac_candidate(2)))
     if use_s3b:
-        cand["s3b"] = mac_candidate(1)
-
-    rates_at: dict[str, CaseSumRates] = {k: rates_of(*v) for k, v in cand.items()}
-
-    def rate_val(name: str, r: CaseSumRates) -> float:
-        return getattr(r, name)
-
-    def blend(name_a: str, name_b: str):
-        d0 = rate_val(name_b, rates_at[name_a]) - rate_val(name_a, rates_at[name_a])
-        d1 = rate_val(name_b, rates_at[name_b]) - rate_val(name_a, rates_at[name_b])
-        return _blend_candidate(
-            process, budget, objs[name_a], objs[name_b], d0, d1, cand[name_a]
-        )
-
-    def triple(name_l: str):
-        rep = maximize_min_concave(
-            process,
-            [objs[name_l], objs["s3a"], objs["s3b"]],
-            budget,
-            tol,
-            max_iters=3000,
-        )
-        return rep.policy.arrays
-
-    plan: list[tuple[CaseLabel, object, float]] = [
-        (CaseLabel.C1, lambda: cand["s1"], _ENGINE_EQ_TOL),
-        (CaseLabel.C2, (lambda: cand["s2"]) if use_s2 else None, _ENGINE_EQ_TOL),
-        (CaseLabel.C3a, (lambda: cand["s3a"]) if use_s3a else None, _ENGINE_EQ_TOL),
-        (CaseLabel.C3b, (lambda: cand["s3b"]) if use_s3b else None, _ENGINE_EQ_TOL),
-        (
-            CaseLabel.C3c,
-            (lambda: blend("s3a", "s3b")) if use_s3a and use_s3b else None,
-            _ENGINE_EQ_TOL,
-        ),
-        (
-            CaseLabel.B1_3a,
-            (lambda: blend("s1", "s3a")) if use_s3a else None,
-            _ENGINE_EQ_TOL,
-        ),
-        (
-            CaseLabel.B2_3a,
-            (lambda: blend("s2", "s3a")) if use_s2 and use_s3a else None,
-            _ENGINE_EQ_TOL,
-        ),
-        (
-            CaseLabel.B1_3b,
-            (lambda: blend("s1", "s3b")) if use_s3b else None,
-            _ENGINE_EQ_TOL,
-        ),
-        (
-            CaseLabel.B2_3b,
-            (lambda: blend("s2", "s3b")) if use_s2 and use_s3b else None,
-            _ENGINE_EQ_TOL,
-        ),
-        (
-            CaseLabel.B1_3c,
-            (lambda: triple("s1")) if use_s3a and use_s3b else None,
-            _TRIPLE_EQ_TOL,
-        ),
-        (
-            CaseLabel.B2_3c,
-            (lambda: triple("s2")) if use_s2 and use_s3a and use_s3b else None,
-            _TRIPLE_EQ_TOL,
-        ),
-    ]
-
-    _DEFINING = {
-        CaseLabel.C1: ("s1",),
-        CaseLabel.C2: ("s2",),
-        CaseLabel.C3a: ("s3a",),
-        CaseLabel.C3b: ("s3b",),
-        CaseLabel.C3c: ("s3a", "s3b"),
-        CaseLabel.B1_3a: ("s1", "s3a"),
-        CaseLabel.B2_3a: ("s2", "s3a"),
-        CaseLabel.B1_3b: ("s1", "s3b"),
-        CaseLabel.B2_3b: ("s2", "s3b"),
-        CaseLabel.B1_3c: ("s1", "s3a", "s3b"),
-        CaseLabel.B2_3c: ("s2", "s3a", "s3b"),
-    }
-
-    def certified(label: CaseLabel, policy: PowerPolicy, value: float) -> bool:
-        # Weak duality on the single defining bound at the candidate's own
-        # KKT multipliers: that bound is one piece of the polytope, so
-        # max polytope <= max f_def <= D(lam).
-        if len(_DEFINING[label]) != 1:
-            return False
-        obj = objs[_DEFINING[label][0]]
-        bound = dual_bound(process, obj, budget, kkt_multipliers(process, policy, obj, budget))
-        return bound is not None and bound <= value + 1e-3
-
-    def crosscheck(value: float) -> None:
-        rep = maximize_min_concave(
-            process,
-            polytope,
-            budget,
-            tol,
-            max_iters=3500,
-            target_value=value + 1.6e-3,
-        )
-        if rep.value > value + 1e-3:
-            raise ConvergenceError(
-                "case algorithm accepted a sum rate of "
-                f"{value:.9g} bits but direct maximization reaches "
-                f"{rep.value:.9g}; the case logic disagrees with the polytope"
-            )
-
-    for label, maker, eq in plan:
-        if maker is None:
-            continue
-        out = maker()
-        if out is None:
-            continue
-        x1, x2 = out
+        singles.append((CaseLabel.C3b, "s3b", mac_candidate(1)))
+    for label, name, (x1, x2) in singles:
         r = rates_of(x1, x2)
-        if not _case_condition(label, r, active, eq):
+        if not _case_condition(label, r, active, _ENGINE_EQ_TOL):
             continue
-        defining = min(rate_val(nm, r) for nm in _DEFINING[label])
         value = polytope_value(x1, x2)
-        if abs(value - defining) > 1e-7:
+        if abs(value - getattr(r, name)) > 1e-7:
             continue
         policy = PowerPolicy.from_arrays(x1, x2)
-        if not certified(label, policy, value):
-            crosscheck(value)
-        return value, policy, label
+        lam = kkt_multipliers(process, policy, objs[name], budget)
+        bound = dual_bound(process, objs[name], budget, lam)
+        if bound is not None and bound <= value + 1e-3:
+            return value, policy, label
 
-    # Nothing accepted cleanly; maximize the polytope directly and label
-    # the result at progressively looser equality tolerance.
     rep = maximize_min_concave(process, polytope, budget, tol, max_iters=20000)
+    if rep.kkt_residual > 1e-3:
+        raise ConvergenceError(
+            "direct maximization of the compound-MAC sum rate did not converge "
+            f"(KKT residual {rep.kkt_residual:.3g})"
+        )
     x1, x2 = rep.policy.arrays
     value = polytope_value(x1, x2)
     r = rates_of(x1, x2)
@@ -570,8 +397,8 @@ def sum_capacity(
 ) -> tuple[float, PowerPolicy, CaseLabel]:
     """Sum capacity of the ergodic fading compound MAC.
 
-    Runs the ordered case algorithm over all eleven labels and returns
-    (value in bits, optimal policy, accepted case label).
+    Runs the case search over all eleven labels (_sum_capacity_engine)
+    and returns (value in bits, optimal policy, accepted case label).
     """
     return _sum_capacity_engine(process, budget, tol=tol)
 

@@ -211,7 +211,7 @@ def us_sum_capacity(
 
     Strong interference lets both receivers decode both messages, so
     the channel behaves as a compound MAC whose cross-link sum bound
-    never binds; the ordered case search runs with that bound removed
+    never binds; the case search runs with that bound removed
     (and with a clean receiver's sum bound removed in the one-sided
     variant).
     """

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fading_ifc import allocate
 from fading_ifc.channel import PowerBudget, PowerPolicy, PreconditionError, make_discrete_channel
 from fading_ifc.allocate import (
     PerStateMinRate,
@@ -358,6 +359,35 @@ class TestMaximizeMinConcave:
         ]
         rep = maximize_min_concave(proc, objs, B11, 1e-6)
         assert kkt_residual_bundle(proc, rep.policy, objs, B11) <= 1e-4
+
+    def test_certified_polish_skips_the_ascent(self):
+        proc = channel([(1, 0.3, 0.2, 2), (3, 1.0, 0.4, 1)])
+        objs = [
+            RateObjective(proc.prob_array, [(1.0, proc.gain_arrays[0], proc.gain_arrays[1])]),
+            RateObjective(proc.prob_array, [(1.0, proc.gain_arrays[2], proc.gain_arrays[3])]),
+        ]
+        rep = maximize_min_concave(proc, objs, B11, 1e-6)
+        assert rep.iterations == 0
+        assert rep.converged
+        # the value 50,000 ascent steps reach
+        assert rep.value == pytest.approx(1.604336659814736, abs=1e-12)
+
+    def test_failing_slsqp_falls_back_to_the_ascent(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise ValueError("SLSQP refused the problem")
+
+        monkeypatch.setattr(allocate.sciopt, "minimize", raising)
+        # both objectives want user 1's power, each in its own state
+        proc = channel([(4, 0, 0, 1), (4, 0, 0, 1)])
+        p = proc.prob_array
+        first = RateObjective(p, [(1.0, np.array([4.0, 0.0]), 0.0)])
+        second = RateObjective(p, [(1.0, np.array([0.0, 4.0]), 0.0)])
+        rep = maximize_min_concave(proc, [first, second], B11, 1e-6, max_iters=3000)
+        assert rep.iterations > 0
+        x1, x2 = rep.policy.arrays
+        assert first.value(x1, x2) == pytest.approx(second.value(x1, x2), abs=1e-4)
+        np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-3)
+        assert float(p @ x1) <= 1.0 + 1e-9
 
 
 class TestDualBound:

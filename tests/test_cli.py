@@ -46,10 +46,18 @@ BAD_DOC = {
 }
 
 
-def run_cli(*args, timeout=300):
+def huge_doc(budget):
+    states = [(1.0, 4.0, 4.0, 1.0), (2.0, 4.0, 4.0, 1.0)]
+    return {
+        "states": [dict(zip(("g11", "g12", "g21", "g22"), g), p=0.5) for g in states],
+        "budget": {"p1": budget, "p2": budget},
+    }
+
+
+def run_cli(*args, timeout=300, python_flags=()):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "fading_ifc.cli", *args],
+        [sys.executable, *python_flags, "-m", "fading_ifc.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -179,6 +187,30 @@ class TestSumcap:
         body = out.read_text()
         assert body.splitlines()[0] == "scheme,value_bits,case_label,policy,alpha"
         assert body.splitlines()[1].startswith("tdm,1.58496")
+
+
+class TestHugeBudget:
+    @pytest.mark.parametrize(
+        "command", [["classify"], ["sumcap", "--scheme", "evs"], ["sumcap", "--scheme", "cmac"]]
+    )
+    def test_budget_too_large_to_waterfill_exits_3(self, tmp_path, command):
+        # the received power g * nu overflows; no warning, no Infinity in the output
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(huge_doc(1e308)))
+        res = run_cli(command[0], "--channel", str(path), *command[1:],
+                      python_flags=("-W", "error"))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "budget 1e+308 is too large" in res.stderr
+
+    def test_huge_representable_budget_keeps_its_answer(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(huge_doc(1e300)))
+        res = run_cli("classify", "--channel", str(path), python_flags=("-W", "error"))
+        assert res.returncode == 0
+        check = json.loads(res.stdout)["evs_check"]
+        assert check["lhs_bits"] == pytest.approx(1993.6568569324174, rel=1e-12)
+        assert check["rhs_bits"] == pytest.approx(998.900356561096, rel=1e-12)
 
 
 class TestFigures:

@@ -12,7 +12,6 @@ from fading_ifc.cmac import (
     CASE_EQ_TOL,
     CaseLabel,
     WeightPair,
-    _blend_candidate,
     case_sum_rates,
     identify_case,
     mac_bounds,
@@ -61,6 +60,11 @@ class TestFixedPolicyRates:
     def test_identify_case_on_balanced_fixture(self):
         # direct-link caps bind strictly below every pooled bound
         assert identify_case(channel([(1, 4, 4, 1)]), FULL) is CaseLabel.C1
+
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12])
+    def test_round_off_tie_reads_as_the_tie(self, offset):
+        # the receiver sums differ by round-off only, so neither is the bottleneck
+        assert identify_case(channel([(1, 1.1025, 1.1025 + offset, 1)]), FULL) is CaseLabel.C3c
 
 
 class TestSumCapacity:
@@ -146,7 +150,8 @@ class TestCrosscheck:
         assert sum_rate_fixed_policy(proc, policy) == pytest.approx(value, abs=1e-12)
         assert calls == []
 
-    def test_suboptimal_candidate_fails_certificate_and_ascent_raises(self, monkeypatch):
+    def test_suboptimal_candidate_fails_certificate_and_direct_solve_recovers(self, monkeypatch):
+        want = sum_capacity(self.C3B, B11)[0]
         real = cmac.mac_opportunistic_waterfill
 
         def scaled_down(process, receiver, budget, tol=1e-6):
@@ -163,27 +168,20 @@ class TestCrosscheck:
         lam = kkt_multipliers(self.C3B, policy, s3b, B11)
         bound = dual_bound(self.C3B, s3b, B11, lam)
         assert bound is None or bound > value + 1e-3
-        with pytest.raises(ConvergenceError, match="disagrees with the polytope"):
-            sum_capacity(self.C3B, B11)
+        got, _, label = sum_capacity(self.C3B, B11)
+        assert got == pytest.approx(want, abs=1e-9)
+        assert label is CaseLabel.C3b
         assert calls == [1]
 
+    def test_unconverged_direct_solve_raises(self, monkeypatch):
+        real = cmac.maximize_min_concave
 
-class TestBlendCandidate:
-    def test_failing_slsqp_falls_back_to_max_min(self, monkeypatch):
-        def raising(*args, **kwargs):
-            raise ValueError("SLSQP refused the problem")
+        def stalled(*args, **kwargs):
+            return replace(real(*args, **kwargs), kkt_residual=1e-2, converged=False)
 
-        monkeypatch.setattr(allocate.sciopt, "minimize", raising)
-        # both objectives want user 1's power, each in its own state
-        proc = channel([(4, 0, 0, 1), (4, 0, 0, 1)])
-        p = proc.prob_array
-        first = RateObjective(p, [(1.0, np.array([4.0, 0.0]), 0.0)])
-        second = RateObjective(p, [(1.0, np.array([0.0, 4.0]), 0.0)])
-        zeros = np.zeros(2)
-        x1, x2 = _blend_candidate(proc, B11, first, second, -1.0, 1.0, (zeros, zeros))
-        assert first.value(x1, x2) == pytest.approx(second.value(x1, x2), abs=1e-4)
-        np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-3)
-        assert float(p @ x1) <= 1.0 + 1e-9
+        monkeypatch.setattr(cmac, "maximize_min_concave", stalled)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            sum_capacity(channel([(1, 1.1025, 1.1025, 1)]), B11)
 
 
 class TestWeightedMaximization:

@@ -21,12 +21,12 @@ Usage, from the repository root::
 
 ``--src`` may point at the ``src/`` of another git checkout, so two trees
 can be timed with the same script and recorded side by side under two
-labels.  The entry is written to ``BENCH_channel.json`` at the repository
-root, replacing any entry with the same label, and records the full id of
-the commit checked out where ``--src`` lives; the script refuses to run
-when that ``src`` differs from the commit.  Each
-time is the best of five runs; BLAS runs one thread (set before numpy
-loads).
+labels.  The entry is appended to ``BENCH_channel.json`` at the
+repository root and records the full id of the commit checked out where
+``--src`` lives.  The script refuses a label that the file already holds,
+before any git check or timing, so no earlier record is replaced; and it
+refuses to run when that ``src`` differs from the commit.  Each time is
+the best of five runs; BLAS runs one thread (set before numpy loads).
 """
 
 import argparse
@@ -139,6 +139,12 @@ def main() -> int:
     ap.add_argument("--src", default="src", help="directory holding the fading_ifc package")
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     args = ap.parse_args()
+    entries = []
+    if os.path.exists(OUT):
+        with open(OUT, encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+    if any(e["label"] == args.label for e in entries):
+        sys.exit(f"label {args.label!r} is already recorded in {OUT}; choose another")
     src = os.path.abspath(args.src)
     commit = _head_commit(src)
     sys.path.insert(0, src)
@@ -151,16 +157,9 @@ def main() -> int:
         "numpy": np.__version__,
         "measurements": measure(),
     }
-    entries = []
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
-            entries = json.load(fh)["entries"]
     # "what" is rewritten from the docstring on every run, so it names
     # what the script times now.
-    doc = {
-        "what": __doc__.split("\n\n")[0],
-        "entries": [e for e in entries if e["label"] != args.label] + [entry],
-    }
+    doc = {"what": __doc__.split("\n\n")[0], "entries": entries + [entry]}
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
